@@ -21,7 +21,6 @@ Results land in ``benchmarks/BENCH_analysis.json``.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -29,6 +28,8 @@ import pytest
 
 from repro.experiments import sweep
 from repro.experiments.store import SweepStore
+
+from conftest import record_results
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_analysis.json"
 
@@ -45,18 +46,6 @@ GRID = dict(
 )
 N_DISTINCT = 2
 MIN_SPEEDUP = 1.3
-
-
-def _update_results(payload: dict) -> None:
-    """Merge this test's keys into the shared BENCH json (read-modify-write)."""
-    existing: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            existing = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(payload)
-    RESULTS_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def test_perf_prune_analytic(benchmark, tmp_path):
@@ -103,7 +92,8 @@ def test_perf_prune_analytic(benchmark, tmp_path):
         )
 
     speedup = cold_s / pruned_s if pruned_s > 0 else float("inf")
-    _update_results(
+    record_results(
+        RESULTS_PATH,
         {
             "grid": {
                 "mixes": GRID["mixes"],

@@ -36,7 +36,6 @@ for the performance trajectory, and asserts:
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from pathlib import Path
@@ -44,6 +43,8 @@ from pathlib import Path
 from repro.config import dumbbell_scenario
 from repro.emulation.runner import EmulationRunner
 from repro.obs import TELEMETRY
+
+from conftest import record_results
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_perf_emulation.json"
 
@@ -236,7 +237,7 @@ def test_perf_emulation(benchmark):
         "telemetry_disabled_overhead": round(telemetry_overhead, 4),
         "telemetry_stub_ns": {k: round(v, 1) for k, v in stub_ns.items()},
     }
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    record_results(RESULTS_PATH, results, replace=True)
 
     print("\nEmulator event-layer throughput (sent packets/second, 10 s BBRv1 x 4):")
     print(f"  closure reference  {closure_median:10.0f} pkts/s  (heap peak {closure_peak})")

@@ -26,7 +26,6 @@ equivalence is re-asserted here on the benchmarked runs.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from repro.config import FluidParams, dumbbell_scenario
 from repro.core import FluidSimulator, simulate_many
 from repro.experiments import scenarios
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT, record_results, run_once
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_perf_fluid_step.json"
 
@@ -45,15 +44,6 @@ BENCH_SECONDS = 0.5
 #: Flow populations of the churn scaling curve and its (short) horizon.
 SCALING_FLOWS = (100, 500, 1000, 2000)
 SCALING_SECONDS = 0.1
-
-
-def _merge_results(updates: dict) -> None:
-    """Merge one benchmark's section into the shared results file."""
-    results = {}
-    if RESULTS_PATH.exists():
-        results = json.loads(RESULTS_PATH.read_text())
-    results.update(updates)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def _mixed_ccas(num_flows: int) -> list[str]:
@@ -119,7 +109,7 @@ def test_perf_fluid_step(benchmark):
     batch_elapsed = time.perf_counter() - start
     batch_sps = _steps(paper_config) * len(batch_configs) / batch_elapsed
 
-    _merge_results({
+    record_results(RESULTS_PATH, {
         "dt": BENCH_DT,
         "duration_s": BENCH_SECONDS,
         "paper_population_20": {
@@ -195,7 +185,7 @@ def test_perf_fluid_churn_scaling(benchmark):
         return {str(n): round(_measure_population(n)) for n in SCALING_FLOWS}
 
     curve = run_once(benchmark, _curve)
-    _merge_results({
+    record_results(RESULTS_PATH, {
         "churn_scaling": {
             "dt": BENCH_DT,
             "duration_s": SCALING_SECONDS,

@@ -21,7 +21,6 @@ numbers.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -29,19 +28,9 @@ from repro.experiments import sweep
 from repro.experiments.store import SweepStore
 from repro.metrics.aggregate import AggregateMetrics
 
+from conftest import record_results
+
 RESULTS_PATH = Path(__file__).parent / "BENCH_sweep_store.json"
-
-
-def _update_results(payload: dict) -> None:
-    """Merge this test's keys into the shared BENCH json (read-modify-write)."""
-    existing: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            existing = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(payload)
-    RESULTS_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 GRID = dict(
     mixes=["BBRv1"],
@@ -99,7 +88,7 @@ def test_perf_sweep_store(benchmark, tmp_path):
         "warm_store_misses": warm_store.misses,
         "issue_target_speedup": MIN_SPEEDUP,
     }
-    _update_results(results)
+    record_results(RESULTS_PATH, results)
 
     print(f"\nSweep store cold vs warm ({n_replicas} emulation replicas):")
     print(f"  cold (compute + persist)  {cold_s:8.3f} s")
@@ -191,7 +180,8 @@ def test_perf_store_backends(benchmark, tmp_path):
         iterations=1,
     )
 
-    _update_results(
+    record_results(
+        RESULTS_PATH,
         {
             "backends": {
                 "rows": N_ROWS,

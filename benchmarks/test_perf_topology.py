@@ -20,7 +20,6 @@ mirroring ``benchmarks/test_perf_fluid_step.py``.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from repro.core import FluidSimulator
 from repro.emulation import EmulationRunner
 from repro.experiments.scenarios import parking_lot_scenario
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT, record_results, run_once
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_perf_topology.json"
 
@@ -126,7 +125,7 @@ def test_perf_topology(benchmark):
             "wall_s": round(emu_elapsed, 3),
         },
     }
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    record_results(RESULTS_PATH, results, replace=True)
 
     print("\n3-hop parking-lot throughput:")
     print(

@@ -31,9 +31,8 @@ from .equilibrium import (
 )
 from .reduced import (
     SingleBottleneck,
-    bbr1_reduced_rhs,
-    bbr2_reduced_rhs,
     integrate_reduced,
+    reduced_rhs,
 )
 from .stability import (
     StabilityResult,
@@ -69,9 +68,8 @@ __all__ = [
     "bbr2_queue_reduction_vs_bbr1",
     "equilibrium_residual",
     "SingleBottleneck",
-    "bbr1_reduced_rhs",
-    "bbr2_reduced_rhs",
     "integrate_reduced",
+    "reduced_rhs",
     "StabilityResult",
     "bbr1_deep_buffer_jacobian",
     "bbr1_deep_buffer_max_eigenvalue",

@@ -17,7 +17,7 @@ theory surface and the campaign machinery:
   back to the reduced models numerically everywhere else: integrate to
   (quasi-)steady state, polish with a root solve, and take a
   finite-difference Jacobian at the equilibrium — including mixed
-  BBRv1+BBRv2 populations via :func:`mixed_reduced_rhs`.
+  BBRv1+BBRv2 populations via :func:`~.reduced.reduced_rhs`.
 * :func:`classify_stability` turns a :class:`StabilityResult` into the
   phase-diagram label ``stable`` / ``oscillatory`` / ``unstable``.  A
   trajectory that never settles (no hyperbolic equilibrium — e.g. BBRv1
@@ -39,8 +39,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import root
 
 from .. import units
 from ..config import ScenarioConfig
@@ -51,7 +49,7 @@ from .equilibrium import (
     bbr1_shallow_buffer_loss_fraction,
     bbr2_fair_equilibrium,
 )
-from .reduced import SingleBottleneck, bbr1_delta, bbr2_delta
+from .reduced import SingleBottleneck, bbr1_delta, bbr2_delta, reduced_rhs
 from .stability import (
     StabilityResult,
     check_bbr1_deep_buffer_stability,
@@ -245,40 +243,10 @@ def mixed_reduced_rhs(
 ) -> np.ndarray:
     """Reduced dynamics of a mixed BBRv1/BBRv2 population (one queue).
 
-    Per-flow window factors follow each flow's own version (Eq. 33 vs.
-    Eq. 36-38) while all flows share the bottleneck's proportional
-    delivery; for a homogeneous population this reduces exactly to
-    :func:`~repro.analysis.reduced.bbr1_reduced_rhs` /
-    :func:`~repro.analysis.reduced.bbr2_reduced_rhs`.
-    State layout: ``[x_btl_1, ..., x_btl_N, q]``.
+    One-off evaluation of :func:`~repro.analysis.reduced.reduced_rhs`;
+    build the closure once instead when evaluating many states.
     """
-    delays = np.asarray(net.propagation_delays_s)
-    n = net.num_flows
-    x_btl = np.maximum(state[:n], 1e-9)
-    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
-    capacity = net.capacity_pps
-    is_v1 = np.array([v == "bbr1" for v in versions])
-    delta = np.where(
-        is_v1,
-        bbr1_delta(delays, queue, capacity),
-        bbr2_delta(delays, queue, capacity),
-    )
-    background = np.minimum(1.0, delta) * x_btl
-    probe = np.where(
-        is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background
-    )
-    if queue > 0:
-        total_others = np.sum(background) - background
-        x_max = probe * capacity / (probe + total_others)
-    else:
-        x_max = probe
-    dx = x_max - x_btl
-    dq = float(np.sum(background)) - capacity
-    if queue <= 0 and dq < 0:
-        dq = 0.0
-    if queue >= net.buffer_pkts and dq > 0:
-        dq = 0.0
-    return np.concatenate([dx, [dq]])
+    return reduced_rhs(net, versions)(t, state)
 
 
 def _arrival_rates(
@@ -444,7 +412,13 @@ def _analyze_numerical(ccas: tuple[str, ...], net: SingleBottleneck) -> Analytic
     condition cannot hold for all flows at once), the point is classified
     ``oscillatory`` and reports the tail-mean operating state.
     """
+    # Deferred: only the numerical fallback needs scipy, so importing the
+    # analysis layer (and every fluid or emulation run) stays numpy-only.
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import root
+
     version = "mixed" if len(set(ccas)) > 1 else next(iter(set(ccas)))
+    rhs = reduced_rhs(net, ccas)
     n = net.num_flows
     capacity = net.capacity_pps
     state0 = np.concatenate([np.full(n, capacity / n), [0.0]])
@@ -452,10 +426,9 @@ def _analyze_numerical(ccas: tuple[str, ...], net: SingleBottleneck) -> Analytic
     tail_dev = math.inf
     for _ in range(NUMERICAL_MAX_CHUNKS):
         solution = solve_ivp(
-            mixed_reduced_rhs,
+            rhs,
             (0.0, NUMERICAL_HORIZON_S),
             state0,
-            args=(net, ccas),
             max_step=0.05,
             rtol=1e-6,
             atol=1e-6 * capacity,
@@ -470,7 +443,7 @@ def _analyze_numerical(ccas: tuple[str, ...], net: SingleBottleneck) -> Analytic
         state0 = states[-1]
 
     def full_rhs(state: np.ndarray) -> np.ndarray:
-        return mixed_reduced_rhs(0.0, state, net, ccas)
+        return rhs(0.0, state)
 
     stability: StabilityResult | None = None
     state_eq = tail_mean

@@ -14,15 +14,17 @@ autonomous ODE systems:
 
 These reduced models are used in two ways: numerically (integration with
 scipy to demonstrate convergence to the equilibria of Theorems 1-5) and
-analytically (Jacobians in :mod:`repro.analysis.stability`).
+analytically (Jacobians in :mod:`repro.analysis.stability`).  scipy is
+imported by :func:`integrate_reduced` itself, so importing this module
+needs only numpy.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -87,43 +89,65 @@ def bbr2_xmax(x_btl: np.ndarray, delta: np.ndarray, queue: float, capacity: floa
     return probe
 
 
-def bbr1_reduced_rhs(t: float, state: np.ndarray, net: SingleBottleneck) -> np.ndarray:
-    """Right-hand side of the reduced BBRv1 dynamics.
+def reduced_rhs(
+    net: SingleBottleneck, versions: Sequence[str]
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Right-hand side ``rhs(t, state)`` of the reduced dynamics of ``net``.
 
-    State layout: ``[x_btl_1, ..., x_btl_N, q]``.
+    Each flow follows its own version's window factor (Eq. 33 for
+    ``"bbr1"``, Eq. 36-38 for ``"bbr2"``) while all flows share the
+    bottleneck's proportional delivery.  State layout:
+    ``[x_btl_1, ..., x_btl_N, q]``.
+
+    The per-network constants and the pure-v1 / pure-v2 / mixed branch are
+    fixed once here, so an ODE solver's many calls only do the per-state
+    arithmetic.  Every branch performs the same floating-point operations
+    in the same order as the mixed formula (``np.where`` over both
+    factors): the analytic substrate's ``loss_percent = 1 - C/arrival``
+    cancels catastrophically, so a one-ulp change in the RHS shows up in
+    the stored metrics.
     """
-    delays = np.asarray(net.propagation_delays_s)
     n = net.num_flows
-    x_btl = np.maximum(state[:n], 1e-9)
-    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
-    delta = bbr1_delta(delays, queue, net.capacity_pps)
-    x_max = bbr1_xmax(x_btl, delta, queue, net.capacity_pps)
-    dx = x_max - x_btl  # Eq. (34)
-    arrival = float(np.sum(np.minimum(1.0, delta) * x_btl))
-    dq = arrival - net.capacity_pps
-    if queue <= 0 and dq < 0:
-        dq = 0.0
-    if queue >= net.buffer_pkts and dq > 0:
-        dq = 0.0
-    return np.concatenate([dx, [dq]])
+    if len(versions) != n:
+        raise ValueError("one version per flow is required")
+    capacity = net.capacity_pps
+    buffer = net.buffer_pkts
+    delays = np.asarray(net.propagation_delays_s, dtype=float)
+    two_d = 2.0 * delays
+    is_v1 = np.array([v == "bbr1" for v in versions])
+    all_v1 = bool(is_v1.all())
+    all_v2 = not is_v1.any()
+    add = np.add.reduce
 
+    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+        x_btl = np.maximum(state[:n], 1e-9)
+        queue = min(max(float(state[n]), 0.0), buffer)
+        denom = delays + queue / capacity
+        if all_v1:
+            delta = two_d / denom
+            background = np.minimum(1.0, delta) * x_btl
+            probe = np.minimum(1.25, delta) * x_btl
+        elif all_v2:
+            delta = delays / denom
+            background = np.minimum(1.0, delta) * x_btl
+            probe = 1.25 * background
+        else:
+            delta = np.where(is_v1, two_d / denom, delays / denom)
+            background = np.minimum(1.0, delta) * x_btl
+            probe = np.where(is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background)
+        total = add(background)
+        out = np.empty(n + 1)
+        if queue > 0:
+            out[:n] = probe * capacity / (probe + (total - background)) - x_btl
+        else:
+            out[:n] = probe - x_btl
+        dq = float(total) - capacity
+        if (queue <= 0 and dq < 0) or (queue >= buffer and dq > 0):
+            dq = 0.0
+        out[n] = dq
+        return out
 
-def bbr2_reduced_rhs(t: float, state: np.ndarray, net: SingleBottleneck) -> np.ndarray:
-    """Right-hand side of the reduced BBRv2 dynamics (same state layout)."""
-    delays = np.asarray(net.propagation_delays_s)
-    n = net.num_flows
-    x_btl = np.maximum(state[:n], 1e-9)
-    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
-    delta = bbr2_delta(delays, queue, net.capacity_pps)
-    x_max = bbr2_xmax(x_btl, delta, queue, net.capacity_pps)
-    dx = x_max - x_btl
-    arrival = float(np.sum(np.minimum(1.0, delta) * x_btl))
-    dq = arrival - net.capacity_pps
-    if queue <= 0 and dq < 0:
-        dq = 0.0
-    if queue >= net.buffer_pkts and dq > 0:
-        dq = 0.0
-    return np.concatenate([dx, [dq]])
+    return rhs
 
 
 def integrate_reduced(
@@ -145,12 +169,12 @@ def integrate_reduced(
     x_btl0 = np.asarray(x_btl0, dtype=float)
     if x_btl0.shape != (net.num_flows,):
         raise ValueError("x_btl0 must have one entry per flow")
-    rhs = bbr1_reduced_rhs if version == "bbr1" else bbr2_reduced_rhs
+    from scipy.integrate import solve_ivp
+
     solution = solve_ivp(
-        rhs,
+        reduced_rhs(net, (version,) * net.num_flows),
         (0.0, duration_s),
         np.concatenate([x_btl0, [queue0]]),
-        args=(net,),
         max_step=max_step,
         dense_output=False,
         rtol=1e-8,

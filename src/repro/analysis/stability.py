@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import bbr1_deep_buffer_equilibrium, bbr2_fair_equilibrium
-from .reduced import SingleBottleneck, bbr1_reduced_rhs, bbr2_reduced_rhs
+from .reduced import SingleBottleneck, reduced_rhs
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def numerical_jacobian(
     epsilon: float | None = None,
 ) -> np.ndarray:
     """Central-difference Jacobian of a reduced model at a given state."""
-    rhs = bbr1_reduced_rhs if version == "bbr1" else bbr2_reduced_rhs
+    rhs = reduced_rhs(net, ("bbr1" if version == "bbr1" else "bbr2",) * net.num_flows)
     state = np.asarray(state, dtype=float)
     n = state.size
     if epsilon is None:
@@ -146,7 +146,7 @@ def numerical_jacobian(
         minus = state.copy()
         plus[j] += epsilon
         minus[j] -= epsilon
-        jacobian[:, j] = (rhs(0.0, plus, net) - rhs(0.0, minus, net)) / (2.0 * epsilon)
+        jacobian[:, j] = (rhs(0.0, plus) - rhs(0.0, minus)) / (2.0 * epsilon)
     return jacobian
 
 

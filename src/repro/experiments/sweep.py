@@ -665,8 +665,9 @@ def run_point(
     if metrics is None:
         with RuntimeCapture() as rt:
             if substrate == "analytic":
-                # Lazy import: the analysis layer pulls in scipy, which the
-                # simulation substrates never need.
+                # Importing the analysis layer needs only numpy; it loads
+                # scipy itself on the first numerical fallback, so the
+                # simulation substrates never pay for it.
                 from .. import analysis as _analysis
 
                 prediction = _analysis.analyze_scenario(config)
@@ -874,6 +875,8 @@ def _run_grid(
     # materialised from the primary's result after the dispatch below.
     alias_of: dict[tuple, tuple] = {}
     if prune_analytic and pending:
+        # The certificate is closed-form arithmetic, and importing the
+        # analysis layer loads no scipy (only its numerical fallback does).
         from .. import analysis as _analysis
 
         def _certificate(task: tuple) -> str | None:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    AnalyticPoint,
     SingleBottleneck,
+    analyze_scenario,
     bbr1_deep_buffer_equilibrium,
     bbr1_deep_buffer_max_eigenvalue,
     bbr1_shallow_buffer_eigenvalues,
@@ -23,8 +27,11 @@ from repro.analysis import (
     check_bbr2_stability,
     equilibrium_residual,
     integrate_reduced,
+    mixed_reduced_rhs,
     numerical_jacobian,
+    reduced_rhs,
 )
+from repro.experiments import scenarios
 
 CAPACITY = 8333.0
 DELAY = 0.035
@@ -238,3 +245,152 @@ class TestSingleBottleneckValidation:
             SingleBottleneck(1000.0, (-0.1,))
         with pytest.raises(ValueError):
             SingleBottleneck(1000.0, (0.03,), buffer_pkts=0.0)
+
+
+def _oracle_mixed_rhs(
+    t: float, state: np.ndarray, net: SingleBottleneck, versions: tuple[str, ...]
+) -> np.ndarray:
+    """Reference reduced-model RHS: the straightforward per-call formulation.
+
+    Rebuilds every per-network constant and evaluates both window factors
+    on each call.  :func:`reduced_rhs` must reproduce it bit for bit.
+    """
+    delays = np.asarray(net.propagation_delays_s)
+    n = net.num_flows
+    x_btl = np.maximum(state[:n], 1e-9)
+    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
+    capacity = net.capacity_pps
+    is_v1 = np.array([v == "bbr1" for v in versions])
+    delta = np.where(
+        is_v1,
+        2.0 * delays / (delays + queue / capacity),
+        delays / (delays + queue / capacity),
+    )
+    background = np.minimum(1.0, delta) * x_btl
+    probe = np.where(
+        is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background
+    )
+    if queue > 0:
+        total_others = np.sum(background) - background
+        x_max = probe * capacity / (probe + total_others)
+    else:
+        x_max = probe
+    dx = x_max - x_btl
+    dq = float(np.sum(background)) - capacity
+    if queue <= 0 and dq < 0:
+        dq = 0.0
+    if queue >= net.buffer_pkts and dq > 0:
+        dq = 0.0
+    return np.concatenate([dx, [dq]])
+
+
+POPULATIONS = {
+    "bbr1": ("bbr1",) * 6,
+    "bbr2": ("bbr2",) * 6,
+    "mixed": ("bbr1", "bbr2", "bbr2", "bbr1", "bbr1", "bbr2"),
+}
+
+
+class TestReducedRhsBitIdentity:
+    """The hoisted RHS performs the oracle's float operations in its order.
+
+    Closeness is not enough: the analytic ``loss_percent`` is
+    ``1 - C/arrival`` with ``arrival ~ C``, so a one-ulp change in the RHS
+    moves a stored metric past the 1e-9 reference tolerance.
+    """
+
+    @pytest.mark.parametrize("population", sorted(POPULATIONS))
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    @pytest.mark.parametrize("buffer_bdp", [2.5, math.inf])
+    def test_matches_oracle(self, population, heterogeneous, buffer_bdp):
+        versions = POPULATIONS[population]
+        n = len(versions)
+        delays = (
+            tuple(np.linspace(0.01, 0.2, n)) if heterogeneous else (DELAY,) * n
+        )
+        bdp = CAPACITY * max(delays)
+        net = SingleBottleneck(CAPACITY, delays, buffer_pkts=buffer_bdp * bdp)
+        top = net.buffer_pkts if math.isfinite(net.buffer_pkts) else 40.0 * bdp
+        queues = (-3.0, -0.0, 0.0, 1e-12, 0.37 * top, top, 1.5 * top)
+        rng = np.random.default_rng(7)
+        rates = [
+            rng.uniform(0.0, 2.0 * CAPACITY / n, n) for _ in range(4)
+        ] + [
+            np.array([0.0, 1e-12, -5.0, 5e-10, 1e-9, CAPACITY])[:n],
+            np.full(n, CAPACITY / n),
+        ]
+        rhs = reduced_rhs(net, versions)
+        for x_btl in rates:
+            for queue in queues:
+                state = np.concatenate([x_btl, [queue]])
+                expected = _oracle_mixed_rhs(0.0, state, net, versions)
+                assert np.array_equal(rhs(0.0, state), expected), (x_btl, queue)
+                assert np.array_equal(
+                    mixed_reduced_rhs(0.0, state, net, versions), expected
+                )
+
+    def test_rejects_version_count_mismatch(self):
+        with pytest.raises(ValueError):
+            reduced_rhs(make_net(3), ("bbr1", "bbr2"))
+
+
+def _paper_point(version: str, rates: tuple[float, ...], queue: float, loss: float) -> AnalyticPoint:
+    return AnalyticPoint(
+        version=version,
+        regime="reduced-model",
+        method="numerical",
+        theorems="",
+        capacity_pps=8333.333333333334,
+        buffer_pkts=875.0000000000002,
+        rates_pps=rates,
+        queue_pkts=queue,
+        loss_fraction=loss,
+        classification="oscillatory",
+        max_real_part=math.nan,
+        eigenvalues=(),
+    )
+
+
+#: ``analyze_scenario`` of the paper's 3-BDP droptail grid points (10 flows,
+#: 30-40 ms RTTs, so every one takes the numerical fallback), pinned exactly.
+PAPER_GRID_3BDP = {
+    "BBRv1": _paper_point(
+        "bbr1",
+        (
+            3.529222756918473e-08, 1.083888235281151e-06, 3.0029371379053605e-05,
+            0.0007541165240793809, 0.01724000921310737, 0.35976050410339694,
+            6.779410463620392, 113.82323122730675, 1576.0331995526142,
+            6636.326679894157,
+        ),
+        327.7211774848422,
+        8.368292304661296e-07,
+    ),
+    "BBRv2": _paper_point(
+        "bbr2",
+        (
+            77.12035864922457, 184.0770557707041, 345.8756201269258,
+            538.7101598019563, 738.850074396145, 934.2207945126951,
+            1120.9355397300762, 1298.4500844261697, 1467.2156350622543,
+            1627.8766855017202,
+        ),
+        63.89256800421371,
+        0.0,
+    ),
+    "BBRv1/BBRv2": _paper_point(
+        "mixed",
+        (
+            0.0674037698116199, 2.1218741604196754, 58.862149495922104,
+            1321.3383456852416, 6950.948612031769, 0.0, 0.0, 0.0, 0.0, 0.0,
+        ),
+        281.6878479211539,
+        6.062168121934164e-07,
+    ),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(PAPER_GRID_3BDP))
+def test_paper_grid_points_are_pinned(mix):
+    config = scenarios.aggregate_scenario(mix, buffer_bdp=3.0, discipline="droptail")
+    # ``max_real_part`` is the ``math.nan`` object on both sides, which the
+    # dataclass equality (a tuple comparison) accepts by identity.
+    assert analyze_scenario(config) == PAPER_GRID_3BDP[mix]
