@@ -103,8 +103,9 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Any
 
 from . import units
 from .config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
@@ -288,6 +289,35 @@ def _parse_hop_axis(args: argparse.Namespace, preset: str | None):
         floats(args.hop_delays, "--hop-delays"),
         args.hop_disciplines,
         preset=preset or "dumbbell",
+    )
+
+
+def _grid_axes(args: argparse.Namespace) -> dict[str, Any]:
+    """The grid of ``sweep``/``campaign``/``status`` as sweep keywords.
+
+    Built once from the parsed flags and passed as-is to ``run_sweep``,
+    ``run_campaign`` and ``grid_point_keys``, so the three commands always
+    name the same points.  Raises :class:`ValueError` on malformed hop lists.
+    """
+    hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(args, args.topology)
+    return dict(
+        mixes=args.mixes,
+        buffers_bdp=args.buffers,
+        disciplines=args.disciplines,
+        seeds=args.seeds,
+        substrate=args.substrate,
+        short_rtt=args.short_rtt,
+        duration_s=args.duration,
+        topology=args.topology,
+        hops=args.hops,
+        cross_flows=args.cross_flows,
+        hop_capacities=hop_capacities,
+        hop_delays=hop_delays,
+        hop_disciplines=hop_disciplines,
+        arrivals=args.arrivals,
+        flow_size_dist=args.flow_size_dist,
+        load=args.load,
+        flows=args.flows,
     )
 
 
@@ -799,33 +829,10 @@ def _summary_display_rows(points: Sequence[sweep.SummaryPoint]) -> list[dict[str
 
 def _run_sweep(args: argparse.Namespace) -> int:
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.topology
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         points = sweep.run_sweep(
-            mixes=args.mixes,
-            buffers_bdp=args.buffers,
-            disciplines=args.disciplines,
-            substrate=args.substrate,
-            short_rtt=args.short_rtt,
-            duration_s=args.duration,
+            **_grid_axes(args),
             workers=args.workers,
-            seeds=args.seeds,
             store=resolve_store(args.store, backend=args.backend),
-            topology=args.topology,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
-            arrivals=args.arrivals,
-            flow_size_dist=args.flow_size_dist,
-            load=args.load,
-            flows=args.flows,
             prune_analytic=args.prune_analytic,
             shard_index=args.shard_index,
             shard_count=args.shard_count,
@@ -986,9 +993,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.topology
-        )
+        axes = _grid_axes(args)
         policy = _campaign_policy(args, preset)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1015,24 +1020,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
         )
     try:
         result = sweep.run_campaign(
-            mixes=args.mixes,
-            buffers_bdp=args.buffers,
-            disciplines=args.disciplines,
-            substrate=args.substrate,
-            short_rtt=args.short_rtt,
-            duration_s=args.duration,
-            seeds=args.seeds,
+            **axes,
             store=store,
-            topology=args.topology,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
-            arrivals=args.arrivals,
-            flow_size_dist=args.flow_size_dist,
-            load=args.load,
-            flows=args.flows,
             executor=policy,
             retry_failed=retry_failed,
             trace=args.trace,
@@ -1069,92 +1058,21 @@ def _run_campaign(args: argparse.Namespace) -> int:
         path = report.write_csv(args.csv, rows)
         print(f"wrote {path}")
     if args.per_seed_csv:
-        arrivals, flow_size_dist, load, flows = sweep.normalize_churn_axis(
-            args.arrivals, args.flow_size_dist, args.load, args.flows
-        )
-        # With hop_disciplines set, every point is labelled (and stored)
-        # under the per-hop composite, not the swept discipline value.
-        if hop_disciplines is not None:
-            export_disciplines = [sweep.hop_discipline_label(hop_disciplines)]
-        else:
-            export_disciplines = args.disciplines
+        grid = sweep.GridSpec.build(**axes)
         if store is not None:
-            # The store indexes every per-seed record this campaign just
-            # ran (or resumed); restrict it to this campaign's grid since
-            # the file may hold other campaigns too.
-            wanted = {
-                (discipline, mix, float(buffer_bdp))
-                for discipline in export_disciplines
-                for mix in args.mixes
-                for buffer_bdp in args.buffers
-            }
-            # The topology axis is part of the record identity: a dumbbell
-            # campaign must not export parking-lot rows sharing the same
-            # (mix, buffer, discipline) coordinates, and a hops=3 campaign
-            # must not export hops=4 rows from the same store file.
-            topology = None if args.topology in (None, "dumbbell") else args.topology
-            # The churn axis is symmetric too: a long-lived-flow campaign
-            # (arrivals None, absent from meta) must not export churn rows
-            # sharing its (mix, buffer, discipline) coordinates, and a
-            # churn campaign only exports its exact workload.
-            filters = dict(
-                substrate=args.substrate,
-                short_rtt=args.short_rtt,
-                duration_s=args.duration,
-                topology=topology,
-                arrivals=arrivals,
-            )
-            if arrivals is not None:
-                filters["flow_size_dist"] = flow_size_dist
-                filters["load"] = load
-                filters["flows"] = flows
-            if topology is not None:
-                filters["hops"] = args.hops
-                filters["cross_flows"] = args.cross_flows
-                # Symmetric on purpose: a homogeneous campaign (filter
-                # None) must not export heterogeneous rows that share its
-                # (mix, buffer, discipline) coordinates, and vice versa.
-                filters["hop_capacities"] = (
-                    list(hop_capacities) if hop_capacities is not None else None
-                )
-                filters["hop_delays"] = (
-                    list(hop_delays) if hop_delays is not None else None
-                )
-                filters["hop_disciplines"] = (
-                    list(hop_disciplines) if hop_disciplines is not None else None
-                )
+            # Export exactly this grid's records: the store file may hold
+            # other campaigns too (other seeds, topologies or workloads).
+            keys = {spec.key() for spec in grid.points()}
             per_seed = [
-                row
-                for row in store.rows(**filters)
-                if (row["discipline"], row["mix"], row["buffer_bdp"]) in wanted
+                {**record["meta"], **record["metrics"]}
+                for record in store.records()
+                if record["key"] in keys
             ]
         else:
             # No store: recover the replicas from the in-process cache.
             per_seed = [
-                sweep.run_point(
-                    mix,
-                    buffer_bdp,
-                    discipline,
-                    substrate=args.substrate,
-                    short_rtt=args.short_rtt,
-                    duration_s=args.duration,
-                    seed=seed,
-                    store=False,
-                    topology=args.topology,
-                    hops=args.hops,
-                    cross_flows=args.cross_flows,
-                    hop_capacities=hop_capacities,
-                    hop_delays=hop_delays,
-                    hop_disciplines=hop_disciplines,
-                    arrivals=arrivals,
-                    flow_size_dist=flow_size_dist,
-                    load=load,
-                    flows=flows,
-                ).row()
-                for discipline in export_disciplines
-                for mix in args.mixes
-                for buffer_bdp in args.buffers
-                for seed in sweep._seed_list(args.seeds)
+                sweep.run_point(store=False, **asdict(spec)).row()
+                for spec in grid.points()
             ]
         path = report.write_csv(args.per_seed_csv, per_seed)
         print(f"wrote {path}")
@@ -1351,27 +1269,8 @@ def _run_status(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.topology
-        )
         grid = sweep.grid_point_keys(
-            mixes=args.mixes,
-            buffers_bdp=args.buffers,
-            disciplines=args.disciplines,
-            substrate=args.substrate,
-            short_rtt=args.short_rtt,
-            duration_s=args.duration,
-            seeds=args.seeds,
-            topology=args.topology,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
-            arrivals=args.arrivals,
-            flow_size_dist=args.flow_size_dist,
-            load=args.load,
-            flows=args.flows,
+            **_grid_axes(args),
             shard_index=args.shard_index,
             shard_count=args.shard_count,
         )

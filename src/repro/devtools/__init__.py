@@ -4,8 +4,9 @@ Generic linters know nothing about the invariants this repo's fidelity
 rests on: deterministic simulation kernels, named RNG streams derived via
 :func:`repro.emulation.runner.derive_rng`, and scenario cache keys that
 must cover *every* semantics-bearing knob.  The same invariant violations
-were fixed by hand twice (PR 3's ``_cache_key`` seed aliasing, PR 5's
-per-hop-discipline keying + ``SCHEMA_VERSION`` bump); this package encodes
+were fixed by hand twice (PR 3's seed aliasing in the since-retired tuple
+cache key, PR 5's per-hop-discipline keying + ``SCHEMA_VERSION`` bump);
+this package encodes
 them as machine-checked rules, surfaced as ``repro-bbr check`` and enforced
 in CI.
 
@@ -16,9 +17,9 @@ Four checkers ship today (see each module for the rule ids):
 * :mod:`.rng` — ``derive_rng`` stream-label hygiene: literal, prefix-unique
   labels, no arithmetic on the seed (``RNG0xx``),
 * :mod:`.cachekey` — cache-key completeness by *mutation probing*: every
-  config field and sweep-axis parameter must change the stored key, and
-  the hashed-field set may not drift without a ``SCHEMA_VERSION`` bump
-  (``CACHE0xx``),
+  config field must change the stored key, every scenario-shaping preset
+  field must be a ``PointSpec`` axis, and the hashed-field set may not
+  drift without a ``SCHEMA_VERSION`` bump (``CACHE0xx``),
 * :mod:`.unitcheck` — the ``_s``/``_mbps``/``_packets``/``_bdp`` suffix
   conventions of :mod:`repro.units` at config-layer signatures
   (``UNIT0xx``).

@@ -3,9 +3,11 @@
 A single unhashed config field corrupts an entire stored campaign: two
 semantically different scenarios alias onto one record and the store serves
 one's metrics for the other.  This was fixed by hand twice (PR 3: seed and
-sampling parameters missing from ``sweep._cache_key``; PR 5: per-hop
-disciplines keyed under the wrong label).  This checker machine-checks the
-invariant three ways:
+sampling parameters missing from the in-process cache key; PR 5: per-hop
+disciplines keyed under the wrong label).  Since a sweep point's only
+identity is its :class:`~repro.experiments.sweep.PointSpec`, whose
+``key()`` *is* the stored scenario key, there is no second key to keep in
+sync.  This checker machine-checks the invariant four ways:
 
 * ``CACHE001`` — **mutation probing**: for every dataclass field of the
   config layer (:class:`~repro.config.ScenarioConfig` and everything it
@@ -13,25 +15,24 @@ invariant three ways:
   :func:`~repro.experiments.store.scenario_key` to change.  Intentionally
   excluded (field, substrate) pairs live in :data:`ALLOWED_UNHASHED`, each
   with a justification.
-* ``CACHE002`` — **axis coverage**: every scenario-shaping parameter of
-  ``run_point``/``run_sweep`` must appear in ``sweep._cache_key`` *and*
-  ``sweep._store_meta`` (execution-only parameters such as ``workers`` are
-  allowlisted in :data:`EXECUTION_PARAMS`).
 * ``CACHE003`` — a config field the probe generator cannot mutate: the
   probe table must grow with the config layer, so new fields cannot dodge
   the check by being unprobeable.
 * ``CACHE004`` — **schema drift**: the hashed-field set (config fields +
-  key/meta parameters + campaign-preset fields) is fingerprinted into the
+  ``PointSpec`` fields + campaign-preset fields) is fingerprinted into the
   committed ``schema_fingerprint.json``; any drift without a matching
   ``SCHEMA_VERSION`` bump (and fingerprint regeneration via ``repro-bbr
   check --update-schema-fingerprint``) is flagged.
 * ``CACHE005`` — **preset coverage**: every
   :class:`~repro.experiments.presets.CampaignPreset` field must either be
   a declared execution-machinery field
-  (:data:`~repro.experiments.presets.PRESET_EXECUTION_FIELDS`) or reach
-  ``sweep._cache_key`` under its (aliased) parameter name — a preset knob
-  that steers the scenario but not the key would alias different
-  campaigns onto shared store records.
+  (:data:`~repro.experiments.presets.PRESET_EXECUTION_FIELDS`) or name a
+  ``PointSpec`` field (under its aliased name) — a preset knob that steers
+  the scenario but not the key would alias different campaigns onto
+  shared store records.
+
+(``CACHE002`` is retired: it kept copies of the axis list in sync, and the
+axes are now declared once, as the ``PointSpec`` fields.)
 
 All entry points take the functions/classes under test as parameters so the
 test suite can probe synthetic configs and deliberately broken key
@@ -86,46 +87,7 @@ ALLOWED_UNHASHED: dict[tuple[str, str, str], str] = {
     ),
 }
 
-#: ``run_point``/``run_sweep`` parameters that steer *execution*, not the
-#: scenario semantics, and therefore must not be hashed.
-EXECUTION_PARAMS: dict[str, str] = {
-    "use_cache": "cache bypass switch; no effect on results",
-    "store": "which store file to persist into; no effect on results",
-    "seeds": "replication axis — expands into per-seed points keyed by 'seed'",
-    "workers": "process-pool width; no effect on results",
-    "executor": (
-        "executor policy (pool width, retries, backoff, timeouts, heartbeat, "
-        "on_failure); retries recompute the same scenario, so no effect on "
-        "results"
-    ),
-    "retry_failed": (
-        "resume behaviour for recorded failure rows (recompute vs re-report); "
-        "never changes what a successful point computes"
-    ),
-    "trace": (
-        "telemetry span-log destination (repro.obs); pure observability — "
-        "scenario keys and metric values are bit-identical with tracing on "
-        "or off"
-    ),
-    "prune_analytic": (
-        "grid pre-pass that serves provably-identical points from an "
-        "analytically certified twin; pruned rows are stored under their "
-        "own unchanged scenario keys with a 'pruned' provenance block, so "
-        "the stored results are the same with pruning on or off"
-    ),
-    "shard_index": (
-        "which slice of the grid this worker computes; sharding partitions "
-        "the task list by stored scenario key without changing any key or "
-        "any result"
-    ),
-    "shard_count": (
-        "how many slices the grid is partitioned into; execution placement "
-        "only — disjoint shards merge back into one store via "
-        "'repro-bbr store merge'"
-    ),
-}
-
-#: Plural grid axes of ``run_sweep`` and the per-point parameter each
+#: Plural grid axes of a campaign and the per-point ``PointSpec`` field each
 #: expands into (the grid is keyed point-by-point).
 SWEEP_AXIS_ALIASES: dict[str, str] = {
     "mixes": "mix",
@@ -400,79 +362,16 @@ def check_scenario_key_coverage(
     return findings
 
 
-def _scenario_params(fn: Callable[..., Any], aliases: Mapping[str, str]) -> list[str]:
-    out = []
-    for name in inspect.signature(fn).parameters:
-        if name in EXECUTION_PARAMS:
-            continue
-        out.append(aliases.get(name, name))
-    return out
-
-
-def check_axis_coverage(
-    point_fn: Callable[..., Any] = sweep_mod.run_point,
-    sweep_fn: Callable[..., Any] | None = sweep_mod.run_sweep,
-    key_fn: Callable[..., tuple] = sweep_mod._cache_key,
-    meta_fn: Callable[..., dict] | None = sweep_mod._store_meta,
-    aliases: Mapping[str, str] = SWEEP_AXIS_ALIASES,
-    root: Path | None = None,
-) -> list[Finding]:
-    """Every scenario-shaping sweep parameter must reach the cache key/meta."""
-    findings: list[Finding] = []
-    key_params = set(inspect.signature(key_fn).parameters)
-    meta_params = set(inspect.signature(meta_fn).parameters) if meta_fn else None
-    path, line = _key_location(key_fn)
-    path = _relpath(path, root)
-    sources: list[tuple[str, Callable[..., Any]]] = [(point_fn.__name__, point_fn)]
-    if sweep_fn is not None:
-        sources.append((sweep_fn.__name__, sweep_fn))
-    for fn_name, fn in sources:
-        for param in _scenario_params(fn, aliases):
-            if param not in key_params:
-                findings.append(
-                    Finding(
-                        rule="CACHE002",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"{fn_name}() parameter {param!r} is missing from "
-                            f"{key_fn.__name__}(): points differing only in it "
-                            "would alias onto one in-process cache slot"
-                        ),
-                        hint=(
-                            "thread the parameter through the cache key, or add "
-                            "it to EXECUTION_PARAMS with a justification if it "
-                            "cannot affect results"
-                        ),
-                    )
-                )
-            if meta_params is not None and param not in meta_params:
-                findings.append(
-                    Finding(
-                        rule="CACHE002",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"{fn_name}() parameter {param!r} is missing from "
-                            f"{meta_fn.__name__}(): stored rows could not be "
-                            "filtered or exported by it"
-                        ),
-                        hint="thread the parameter through the store meta",
-                    )
-                )
-    return findings
-
-
 def check_preset_coverage(
     preset_cls: type = presets_mod.CampaignPreset,
-    key_fn: Callable[..., tuple] = sweep_mod._cache_key,
+    point_cls: type = sweep_mod.PointSpec,
     execution_fields: frozenset[str] = presets_mod.PRESET_EXECUTION_FIELDS,
     aliases: Mapping[str, str] = SWEEP_AXIS_ALIASES,
     root: Path | None = None,
 ) -> list[Finding]:
-    """Every scenario-shaping campaign-preset field must reach the cache key."""
+    """Every scenario-shaping campaign-preset field must reach the point key."""
     findings: list[Finding] = []
-    key_params = set(inspect.signature(key_fn).parameters)
+    key_params = {f.name for f in dataclasses.fields(point_cls)}
     path, line = _key_location(preset_cls)
     path = _relpath(path, root)
     for field in dataclasses.fields(preset_cls):
@@ -487,11 +386,11 @@ def check_preset_coverage(
                     line=line,
                     message=(
                         f"{preset_cls.__name__}.{field.name} does not map onto a "
-                        f"{key_fn.__name__}() parameter: a preset declaring it "
+                        f"{point_cls.__name__} field: a preset declaring it "
                         "would run scenarios the store cannot tell apart"
                     ),
                     hint=(
-                        "thread the field through the cache key (adding an "
+                        "thread the field through PointSpec (adding an "
                         "alias to SWEEP_AXIS_ALIASES if the names differ), or "
                         "declare it in PRESET_EXECUTION_FIELDS if it only "
                         "steers execution machinery"
@@ -503,18 +402,21 @@ def check_preset_coverage(
 
 def hashed_field_fingerprint(
     config_classes: Sequence[type] = CONFIG_CLASSES,
-    key_fn: Callable[..., tuple] = sweep_mod._cache_key,
-    meta_fn: Callable[..., dict] = sweep_mod._store_meta,
+    point_cls: type = sweep_mod.PointSpec,
     preset_cls: type = presets_mod.CampaignPreset,
 ) -> str:
-    """Stable fingerprint of the hashed-field set (classes + key params)."""
+    """Stable fingerprint of the hashed-field set (classes + point axes)."""
+    point_fields = [f.name for f in dataclasses.fields(point_cls)]
     payload = {
         "config_fields": {
             cls.__name__: sorted(f.name for f in dataclasses.fields(cls))
             for cls in config_classes
         },
-        "cache_key_params": list(inspect.signature(key_fn).parameters),
-        "store_meta_params": list(inspect.signature(meta_fn).parameters),
+        # The point axes in field order, recorded under the names of the
+        # tuple cache key and store-meta function they replaced so the
+        # committed fingerprint carries over unchanged.
+        "cache_key_params": point_fields,
+        "store_meta_params": point_fields,
         # Preset fields ride along so a renamed/added campaign-preset knob
         # is surfaced as schema drift (CACHE004) and consciously reviewed,
         # exactly like a new config field.
@@ -597,13 +499,12 @@ def check_schema_fingerprint(
 
 
 class CacheKeyChecker:
-    """Bundles the cache-key checks (CACHE001-005) behind the Checker interface."""
+    """Bundles the cache-key checks (CACHE001, 003-005) behind the Checker interface."""
 
     name = "cache-keys"
 
     def run(self, context: CheckContext) -> list[Finding]:
         findings = check_scenario_key_coverage(root=context.root)
-        findings += check_axis_coverage(root=context.root)
         findings += check_preset_coverage(root=context.root)
         findings += check_schema_fingerprint(root=context.root)
         return findings

@@ -75,9 +75,10 @@ class CampaignPreset:
     """One parsed campaign preset (see the module docstring for the format).
 
     Field names deliberately mirror :func:`~repro.experiments.sweep.run_campaign`
-    keyword arguments so :meth:`campaign_kwargs` is a straight projection —
-    the devtools preset-coverage check relies on this correspondence to
-    prove every scenario-affecting preset field reaches the cache key.
+    keyword arguments (the grid axes and the
+    :class:`~repro.experiments.sweep.PointSpec` fields) — the devtools
+    preset-coverage check (``CACHE005``) relies on this correspondence to
+    prove every scenario-affecting preset field reaches the point key.
     """
 
     name: str = "campaign"
@@ -108,34 +109,6 @@ class CampaignPreset:
     # executor policy
     executor: ExecutorPolicy = field(default_factory=ExecutorPolicy)
     retry_failed: bool = True
-
-    def campaign_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments for :func:`~repro.experiments.sweep.run_campaign`.
-
-        The store is not included — the CLI resolves it separately so
-        ``--store``/``--backend`` flags can override the preset's.
-        """
-        return {
-            "mixes": self.mixes,
-            "buffers_bdp": self.buffers_bdp,
-            "disciplines": self.disciplines,
-            "substrate": self.substrate,
-            "short_rtt": self.short_rtt,
-            "duration_s": self.duration_s,
-            "seeds": self.seeds,
-            "topology": self.topology,
-            "hops": self.hops,
-            "cross_flows": self.cross_flows,
-            "hop_capacities": self.hop_capacities,
-            "hop_delays": self.hop_delays,
-            "hop_disciplines": self.hop_disciplines,
-            "arrivals": self.arrivals,
-            "flow_size_dist": self.flow_size_dist,
-            "load": self.load,
-            "flows": self.flows,
-            "executor": self.executor,
-            "retry_failed": self.retry_failed,
-        }
 
 
 def _require_mapping(value: Any, section: str) -> dict[str, Any]:
@@ -269,12 +242,9 @@ PRESET_EXECUTION_FIELDS = frozenset(
      "retry_failed", "seeds"}
 )
 
-#: Preset field -> run_campaign parameter aliases (identity otherwise).
-PRESET_PARAM_ALIASES: dict[str, str] = {}
-
 
 def preset_scenario_fields() -> list[str]:
-    """Preset fields that must reach the campaign cache key (for devtools)."""
+    """Preset fields that must reach the point key (for devtools)."""
     return [
         f.name for f in fields(CampaignPreset) if f.name not in PRESET_EXECUTION_FIELDS
     ]

@@ -6,8 +6,9 @@ metrics of :mod:`repro.metrics.aggregate`, and returns tidy rows.  Because
 the five aggregate figures of the paper all derive from the *same* runs,
 sweep results are cached at two levels:
 
-* an in-process cache keyed by the full point configuration (including the
-  scenario seed and the emulator's sampling parameters), and
+* an in-process cache keyed by each point's one identity, the
+  content-hashed ``scenario_key`` of its :class:`PointSpec` (which covers
+  the scenario seed and the emulator's sampling parameters), and
 * an optional persistent :class:`~repro.experiments.store.SweepStore`
   (``store=`` argument, ``--store PATH`` flag or ``REPRO_STORE`` env var):
   every point is persisted the moment it completes, so interrupted sweeps
@@ -44,11 +45,13 @@ The grid is embarrassingly parallel and is exploited two ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Iterable, Sequence
+from typing import Any
 
-from ..config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
+from ..config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS, ScenarioConfig
 from ..core.simulator import FluidSimulator, simulate_many
 from ..emulation.runner import EmulationRunner
 from ..metrics.aggregate import (
@@ -206,7 +209,7 @@ class CampaignResult:
         return not self.failures
 
 
-_CACHE: dict[tuple, SweepPoint] = {}
+_CACHE: dict[str, SweepPoint] = {}
 
 
 def clear_cache() -> None:
@@ -214,151 +217,12 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _hop_tuple(values: Sequence | None) -> tuple | None:
-    """Normalise a per-hop axis value into a hashable tuple (or ``None``)."""
-    return None if values is None else tuple(values)
-
-
 #: Defaults of the churn axis once ``arrivals`` switches it on (kept in one
-#: place so the cache key, the store meta and the scenario always agree).
+#: place so the key, the store meta and the scenario always agree).
 DEFAULT_CHURN_SIZE_DIST = "pareto"
 DEFAULT_CHURN_ONOFF_SIZE_DIST = "infinite"
 DEFAULT_CHURN_LOAD = 0.5
 DEFAULT_CHURN_FLOWS = 100
-
-
-def normalize_churn_axis(
-    arrivals: str | None,
-    flow_size_dist: str | None,
-    load: float | None,
-    flows: int | None,
-) -> tuple[str | None, str | None, float | None, int | None]:
-    """Validate and default the churn axis (``--arrivals/--flow-size-dist/...``).
-
-    ``arrivals=None`` is the legacy long-lived-flow grid: the other three
-    values are meaningless there and must be unset (so a stray ``--load``
-    cannot silently do nothing).  With ``arrivals`` set, unset values are
-    resolved to their defaults — on/off sources default to long-lived
-    (``"infinite"``) sizes, arrival processes to the heavy-tailed bounded
-    Pareto — so points alias identically whether the caller spelled the
-    default out or not.
-    """
-    if arrivals is None:
-        extras = {
-            "flow_size_dist": flow_size_dist,
-            "load": load,
-            "flows": flows,
-        }
-        set_extras = [name for name, value in extras.items() if value is not None]
-        if set_extras:
-            raise ValueError(
-                f"{', '.join(set_extras)} require(s) an arrival process; "
-                "set arrivals (--arrivals) to enable the churn axis"
-            )
-        return None, None, None, None
-    if arrivals not in ARRIVAL_PROCESSES:
-        raise ValueError(
-            f"unknown arrival process {arrivals!r}; expected one of {ARRIVAL_PROCESSES}"
-        )
-    if flow_size_dist is None:
-        flow_size_dist = (
-            DEFAULT_CHURN_ONOFF_SIZE_DIST if arrivals == "onoff" else DEFAULT_CHURN_SIZE_DIST
-        )
-    if flow_size_dist not in SIZE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown size distribution {flow_size_dist!r}; "
-            f"expected one of {SIZE_DISTRIBUTIONS}"
-        )
-    load = DEFAULT_CHURN_LOAD if load is None else float(load)
-    if load <= 0:
-        raise ValueError("load must be positive")
-    flows = DEFAULT_CHURN_FLOWS if flows is None else int(flows)
-    if flows < 1:
-        raise ValueError("flows must be positive")
-    return arrivals, flow_size_dist, load, flows
-
-
-def hop_discipline_label(hop_disciplines: Sequence[str]) -> str:
-    """The discipline label of a point whose hops carry explicit disciplines.
-
-    With ``hop_disciplines`` set, the scenario ignores the swept
-    ``discipline`` value, so rows/meta/cache keys carry the per-hop
-    composite (e.g. ``"red/droptail/red"``) instead of a misleading grid
-    label — identical scenarios alias onto one cached/stored point no
-    matter which grid label they were requested under.
-    """
-    return "/".join(hop_disciplines)
-
-
-def _cache_key(
-    mix: str,
-    buffer_bdp: float,
-    discipline: str,
-    substrate: str,
-    short_rtt: bool,
-    duration_s: float,
-    dt: float,
-    whi_init_bdp: float | None,
-    seed: int,
-    record_interval_s: float,
-    scheduler: str,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
-) -> tuple:
-    # The seed and the emulator's sampling parameters are part of the key:
-    # omitting them aliased points that differ only in seed (or in
-    # record_interval_s/scheduler) onto one cache slot.  The fluid model is
-    # deterministic, so fluid points *should* alias across the sampling
-    # parameters — and across seeds, EXCEPT when a flow schedule draws
-    # random arrivals/sizes: materialisation then consumes the seed on both
-    # substrates, so fluid seed replicas are genuinely distinct points.
-    # The analytic substrate is deterministic in exactly the same sense
-    # (and rejects schedules outright), so it shares the normalisation.
-    if substrate in ("fluid", "analytic"):
-        if not (arrivals == "poisson" or flow_size_dist == "pareto"):
-            seed = 1
-        record_interval_s = DEFAULT_RECORD_INTERVAL_S
-        scheduler = DEFAULT_SCHEDULER
-    # The "dumbbell" preset *is* the legacy grid, and hops/cross_flows and
-    # the heterogeneous per-hop lists are meaningless without a
-    # multi-bottleneck preset: normalise so identical scenarios share one
-    # cache slot.
-    if topology in (None, "dumbbell"):
-        topology = None
-        hops = 0
-        cross_flows = 0
-        hop_capacities = hop_delays = hop_disciplines = None
-    return (
-        mix,
-        buffer_bdp,
-        discipline,
-        substrate,
-        short_rtt,
-        duration_s,
-        dt,
-        whi_init_bdp,
-        seed,
-        record_interval_s,
-        scheduler,
-        topology,
-        hops,
-        cross_flows,
-        _hop_tuple(hop_capacities),
-        _hop_tuple(hop_delays),
-        _hop_tuple(hop_disciplines),
-        arrivals,
-        flow_size_dist,
-        load,
-        flows,
-    )
 
 
 def _seed_list(seeds: int | Sequence[int]) -> list[int]:
@@ -401,165 +265,439 @@ def validate_shard(
     return shard_index, shard_count
 
 
-def _point_config(
-    mix: str,
-    buffer_bdp: float,
-    discipline: str,
-    short_rtt: bool,
-    duration_s: float,
-    dt: float,
-    whi_init_bdp: float | None,
-    seed: int,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
-):
-    if arrivals is not None:
-        if topology not in (None, "dumbbell"):
+@dataclass(frozen=True)
+class PointSpec:
+    """The identity of one sweep point: every axis that shapes its result.
+
+    A point has exactly one identity, :meth:`key` — the content-addressed
+    :func:`~repro.experiments.store.scenario_key` of its scenario — which
+    keys the in-process cache and the persistent store alike.  The fields
+    are the scenario-shaping axes with the names and defaults of the
+    :func:`run_point` keywords, in the canonical order that the schema
+    fingerprint of ``repro-bbr check`` records.  Specs are built through
+    :meth:`normalized`; :meth:`config`, :meth:`key` and :meth:`meta` assume
+    a normalized spec.
+    """
+
+    mix: str
+    buffer_bdp: float
+    discipline: str
+    substrate: str = "fluid"
+    short_rtt: bool = False
+    duration_s: float = 5.0
+    dt: float = scenarios.SWEEP_DT
+    whi_init_bdp: float | None = None
+    seed: int = 1
+    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S
+    scheduler: str = DEFAULT_SCHEDULER
+    topology: str | None = None
+    hops: int = 3
+    cross_flows: int = 1
+    hop_capacities: tuple[float, ...] | None = None
+    hop_delays: tuple[float, ...] | None = None
+    hop_disciplines: tuple[str, ...] | None = None
+    arrivals: str | None = None
+    flow_size_dist: str | None = None
+    load: float | None = None
+    flows: int | None = None
+
+    def normalized(self) -> PointSpec:
+        """Validate the point and return its canonical spelling.
+
+        This is the one place a point is validated: an unknown substrate,
+        churn on the analytic substrate or on a multi-bottleneck preset,
+        ``short_rtt`` off the dumbbell and malformed per-hop lists raise
+        :class:`ValueError`.  Canonicalisation resolves the churn defaults,
+        labels a point with per-hop disciplines by their composite,
+        collapses the ``"dumbbell"`` preset onto the legacy grid (where
+        ``hops``/``cross_flows`` mean nothing) and coerces the numeric
+        axes, so ``buffer_bdp=1`` and ``buffer_bdp=1.0`` are one point with
+        one key.
+        """
+        if self.substrate not in SUBSTRATES:
+            raise ValueError(f"unknown substrate {self.substrate!r}")
+        arrivals, flow_size_dist, load, flows = self._churn_axis()
+        if self.substrate == "analytic" and arrivals is not None:
+            raise ValueError(
+                "the analytic substrate predicts steady states; churn workloads "
+                "(arrivals/flow_size_dist/load/flows) have no equilibrium to analyze"
+            )
+        topology = None if self.topology in (None, "dumbbell") else self.topology
+        # On the legacy dumbbell grid per-hop lists have nothing to apply
+        # to; validate_hop_axis rejects them there.
+        hop_capacities, hop_delays, hop_disciplines = scenarios.validate_hop_axis(
+            self.hops, self.hop_capacities, self.hop_delays, self.hop_disciplines,
+            preset=topology or "dumbbell",
+        )
+        if topology is not None and arrivals is not None:
             raise ValueError(
                 "the churn axis (arrivals/flow_size_dist/load/flows) is only "
                 "defined for the dumbbell grid, not for multi-bottleneck "
                 "topology presets"
             )
-        assert flow_size_dist is not None and load is not None and flows is not None
-        return scenarios.churn_scenario(
-            mix,
-            num_flows=flows,
-            arrivals=arrivals,
-            load=load,
-            size_dist=flow_size_dist,
-            buffer_bdp=buffer_bdp,
-            discipline=discipline,
-            short_rtt=short_rtt,
-            duration_s=duration_s,
-            dt=dt,
-            whi_init_bdp=whi_init_bdp,
-            seed=seed,
-        )
-    if topology not in (None, "dumbbell"):
-        if short_rtt:
+        if topology is not None and self.short_rtt:
             raise ValueError("short_rtt is only defined for the dumbbell grid")
-        return scenarios.topology_scenario(
-            topology,
-            mix=mix,
-            hops=hops,
-            cross_flows=cross_flows,
-            buffer_bdp=buffer_bdp,
-            discipline=discipline,
-            duration_s=duration_s,
-            dt=dt,
-            whi_init_bdp=whi_init_bdp,
-            seed=seed,
+        return replace(
+            self,
+            buffer_bdp=float(self.buffer_bdp),
+            # With per-hop disciplines the scenario ignores the swept
+            # discipline value, so rows, meta and keys carry the per-hop
+            # composite (e.g. "red/droptail/red") instead of a misleading
+            # grid label: identical scenarios alias onto one cached/stored
+            # point no matter which grid label they were requested under.
+            discipline=(
+                self.discipline if hop_disciplines is None else "/".join(hop_disciplines)
+            ),
+            duration_s=float(self.duration_s),
+            dt=float(self.dt),
+            whi_init_bdp=None if self.whi_init_bdp is None else float(self.whi_init_bdp),
+            seed=int(self.seed),
+            record_interval_s=float(self.record_interval_s),
+            topology=topology,
+            hops=int(self.hops) if topology is not None else 0,
+            cross_flows=int(self.cross_flows) if topology is not None else 0,
             hop_capacities=hop_capacities,
             hop_delays=hop_delays,
             hop_disciplines=hop_disciplines,
+            arrivals=arrivals,
+            flow_size_dist=flow_size_dist,
+            load=load,
+            flows=flows,
         )
-    if hop_capacities is not None or hop_delays is not None or hop_disciplines is not None:
-        # Dumbbell / legacy grid: per-hop lists have nothing to apply to.
-        scenarios.validate_hop_axis(
-            hops, hop_capacities, hop_delays, hop_disciplines, preset="dumbbell"
+
+    def _churn_axis(self) -> tuple[str | None, str | None, float | None, int | None]:
+        """Validate and default the churn axis (``--arrivals/--flow-size-dist/...``).
+
+        ``arrivals=None`` is the legacy long-lived-flow grid: the other three
+        values are meaningless there and must be unset (so a stray ``--load``
+        cannot silently do nothing).  With ``arrivals`` set, unset values are
+        resolved to their defaults — on/off sources default to long-lived
+        (``"infinite"``) sizes, arrival processes to the heavy-tailed bounded
+        Pareto — so points alias identically whether the caller spelled the
+        default out or not.
+        """
+        arrivals, flow_size_dist, load, flows = (
+            self.arrivals, self.flow_size_dist, self.load, self.flows
         )
-    return scenarios.aggregate_scenario(
-        mix,
-        buffer_bdp=buffer_bdp,
-        discipline=discipline,
-        short_rtt=short_rtt,
-        duration_s=duration_s,
-        dt=dt,
-        whi_init_bdp=whi_init_bdp,
-        seed=seed,
+        if arrivals is None:
+            extras = {
+                "flow_size_dist": flow_size_dist,
+                "load": load,
+                "flows": flows,
+            }
+            set_extras = [name for name, value in extras.items() if value is not None]
+            if set_extras:
+                raise ValueError(
+                    f"{', '.join(set_extras)} require(s) an arrival process; "
+                    "set arrivals (--arrivals) to enable the churn axis"
+                )
+            return None, None, None, None
+        if arrivals not in ARRIVAL_PROCESSES:
+            raise ValueError(
+                f"unknown arrival process {arrivals!r}; expected one of {ARRIVAL_PROCESSES}"
+            )
+        if flow_size_dist is None:
+            flow_size_dist = (
+                DEFAULT_CHURN_ONOFF_SIZE_DIST if arrivals == "onoff" else DEFAULT_CHURN_SIZE_DIST
+            )
+        if flow_size_dist not in SIZE_DISTRIBUTIONS:
+            raise ValueError(
+                f"unknown size distribution {flow_size_dist!r}; "
+                f"expected one of {SIZE_DISTRIBUTIONS}"
+            )
+        load = DEFAULT_CHURN_LOAD if load is None else float(load)
+        if load <= 0:
+            raise ValueError("load must be positive")
+        flows = DEFAULT_CHURN_FLOWS if flows is None else int(flows)
+        if flows < 1:
+            raise ValueError("flows must be positive")
+        return arrivals, flow_size_dist, load, flows
+
+    def config(self) -> ScenarioConfig:
+        """The scenario this point runs."""
+        common = dict(
+            buffer_bdp=self.buffer_bdp,
+            discipline=self.discipline,
+            duration_s=self.duration_s,
+            dt=self.dt,
+            whi_init_bdp=self.whi_init_bdp,
+            seed=self.seed,
+        )
+        if self.arrivals is not None:
+            assert self.flow_size_dist is not None and self.load is not None
+            assert self.flows is not None
+            return scenarios.churn_scenario(
+                self.mix,
+                num_flows=self.flows,
+                arrivals=self.arrivals,
+                load=self.load,
+                size_dist=self.flow_size_dist,
+                short_rtt=self.short_rtt,
+                **common,
+            )
+        if self.topology is not None:
+            return scenarios.topology_scenario(
+                self.topology,
+                mix=self.mix,
+                hops=self.hops,
+                cross_flows=self.cross_flows,
+                hop_capacities=self.hop_capacities,
+                hop_delays=self.hop_delays,
+                hop_disciplines=self.hop_disciplines,
+                **common,
+            )
+        return scenarios.aggregate_scenario(self.mix, short_rtt=self.short_rtt, **common)
+
+    def key(self) -> str:
+        """The point's identity: its store key, which also keys the cache.
+
+        Fluid and analytic seed replicas of a seed-free scenario share one
+        key, and so do points differing only in the emulator's sampling
+        parameters off the emulation substrate (see
+        :func:`~repro.experiments.store.scenario_key`).
+        """
+        return scenario_key(
+            _point_config(self), self.substrate, self.record_interval_s, self.scheduler
+        )
+
+    def meta(self) -> dict[str, Any]:
+        """The human-readable coordinates stored with the point's record."""
+        meta: dict[str, Any] = {
+            "mix": self.mix,
+            "buffer_bdp": self.buffer_bdp,
+            "discipline": self.discipline,
+            "substrate": self.substrate,
+            "short_rtt": self.short_rtt,
+            "duration_s": self.duration_s,
+            "dt": self.dt,
+            "whi_init_bdp": self.whi_init_bdp,
+            "seed": self.seed,
+        }
+        if self.topology is not None:
+            meta["topology"] = self.topology
+            meta["hops"] = self.hops
+            meta["cross_flows"] = self.cross_flows
+            for name in ("hop_capacities", "hop_delays", "hop_disciplines"):
+                values = getattr(self, name)
+                if values is not None:
+                    meta[name] = list(values)
+        if self.arrivals is not None:
+            meta["arrivals"] = self.arrivals
+            meta["flow_size_dist"] = self.flow_size_dist
+            meta["load"] = self.load
+            meta["flows"] = self.flows
+        if self.substrate == "emulation":
+            meta["record_interval_s"] = self.record_interval_s
+            meta["scheduler"] = self.scheduler
+        return meta
+
+
+# Scenario construction and keying go through these two module-level names
+# so profilers that wrap entry points from outside the package (see
+# ``perfbench/layers.py``) can attribute them to their layers.
+def _point_config(spec: PointSpec) -> ScenarioConfig:
+    """Build one point's scenario (:meth:`PointSpec.config`)."""
+    return spec.config()
+
+
+def _cache_key(spec: PointSpec) -> str:
+    """One point's cache and store key (:meth:`PointSpec.key`)."""
+    return spec.key()
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A sweep grid: mixes x buffers x disciplines x seeds around one base point.
+
+    ``base`` carries every other axis; its own mix, buffer, discipline and
+    seed are placeholders.  ``seeds=None`` is the single-seed grid (seed 1,
+    :class:`SweepPoint` results); a seed tuple replicates every combination
+    and yields :class:`SummaryPoint` results.
+    """
+
+    mixes: tuple[str, ...]
+    buffers_bdp: tuple[float, ...]
+    disciplines: tuple[str, ...]
+    seeds: tuple[int, ...] | None
+    base: PointSpec
+
+    @classmethod
+    def build(
+        cls,
+        mixes: Iterable[str] | None = None,
+        buffers_bdp: Iterable[float] | None = None,
+        disciplines: Iterable[str] | None = None,
+        seeds: int | Sequence[int] | None = None,
+        **axes: Any,
+    ) -> GridSpec:
+        """Validate a grid spelled as :func:`run_sweep` keywords.
+
+        ``axes`` are :class:`PointSpec` fields; the per-point ones are
+        spelled by the plural grid axes instead, so ``mix``, ``buffer_bdp``,
+        ``discipline`` and ``seed`` raise :class:`TypeError` like any other
+        unknown keyword.  Unset grid axes default to the paper's grid.
+        """
+        per_point = sorted({"mix", "buffer_bdp", "discipline", "seed"} & set(axes))
+        if per_point:
+            raise TypeError(
+                f"unexpected keyword argument(s) {', '.join(per_point)}; a grid "
+                "is spelled by mixes/buffers_bdp/disciplines/seeds"
+            )
+        base = PointSpec(mix="", buffer_bdp=0.0, discipline="", **axes).normalized()
+        disciplines = tuple(disciplines if disciplines is not None else scenarios.DISCIPLINES)
+        if base.hop_disciplines is not None:
+            # The per-hop list fixes every hop's discipline, so sweeping the
+            # discipline axis would label identical runs droptail *and* red.
+            if len(disciplines) > 1:
+                raise ValueError(
+                    "hop_disciplines fixes every hop's queue discipline; restrict "
+                    "the sweep to a single disciplines value (e.g. --disciplines "
+                    "droptail) instead of sweeping the discipline axis"
+                )
+            # Label the grid's single discipline slot by what actually runs.
+            disciplines = (base.discipline,)
+        return cls(
+            mixes=tuple(mixes if mixes is not None else scenarios.CCA_MIXES),
+            buffers_bdp=tuple(
+                float(b)
+                for b in (buffers_bdp if buffers_bdp is not None else scenarios.BUFFER_SWEEP_BDP)
+            ),
+            disciplines=disciplines,
+            seeds=tuple(_seed_list(seeds)) if seeds is not None else None,
+            base=base,
+        )
+
+    def combos(self) -> list[list[PointSpec]]:
+        """Each (discipline, mix, buffer) combination as its seed replicas."""
+        seeds = self.seeds if self.seeds is not None else (1,)
+        return [
+            [
+                replace(self.base, mix=mix, buffer_bdp=buffer_bdp, discipline=discipline, seed=seed)
+                for seed in seeds
+            ]
+            for discipline in self.disciplines
+            for mix in self.mixes
+            for buffer_bdp in self.buffers_bdp
+        ]
+
+    def points(self) -> list[PointSpec]:
+        """Every grid point, in (discipline, mix, buffer, seed) order."""
+        return [spec for combo in self.combos() for spec in combo]
+
+
+def _sweep_point(
+    spec: PointSpec,
+    metrics: AggregateMetrics,
+    runtime: dict | None = None,
+    analysis: dict | None = None,
+) -> SweepPoint:
+    return SweepPoint(
+        mix=spec.mix,
+        buffer_bdp=spec.buffer_bdp,
+        discipline=spec.discipline,
+        substrate=spec.substrate,
+        metrics=metrics,
+        seed=spec.seed,
+        runtime=runtime,
+        analysis=analysis,
     )
 
 
-def _store_meta(
-    mix: str,
-    buffer_bdp: float,
-    discipline: str,
-    substrate: str,
-    short_rtt: bool,
-    duration_s: float,
-    dt: float,
-    whi_init_bdp: float | None,
-    seed: int,
-    record_interval_s: float,
-    scheduler: str,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
-) -> dict:
-    meta = {
-        "mix": mix,
-        "buffer_bdp": buffer_bdp,
-        "discipline": discipline,
-        "substrate": substrate,
-        "short_rtt": short_rtt,
-        "duration_s": duration_s,
-        "dt": dt,
-        "whi_init_bdp": whi_init_bdp,
-        "seed": seed,
-    }
-    if topology not in (None, "dumbbell"):
-        meta["topology"] = topology
-        meta["hops"] = hops
-        meta["cross_flows"] = cross_flows
-        if hop_capacities is not None:
-            meta["hop_capacities"] = list(hop_capacities)
-        if hop_delays is not None:
-            meta["hop_delays"] = list(hop_delays)
-        if hop_disciplines is not None:
-            meta["hop_disciplines"] = list(hop_disciplines)
-    if arrivals is not None:
-        meta["arrivals"] = arrivals
-        meta["flow_size_dist"] = flow_size_dist
-        meta["load"] = load
-        meta["flows"] = flows
-    if substrate == "emulation":
-        meta["record_interval_s"] = record_interval_s
-        meta["scheduler"] = scheduler
-    return meta
+def _summary_point(replicas: list[PointSpec], points: list[SweepPoint]) -> SummaryPoint:
+    """Aggregate one combination's computed seed replicas."""
+    spec = replicas[0]
+    return SummaryPoint(
+        mix=spec.mix,
+        buffer_bdp=spec.buffer_bdp,
+        discipline=spec.discipline,
+        substrate=spec.substrate,
+        summary=summarize_metrics([p.metrics for p in points]),
+        seeds=tuple(s.seed for s in replicas),
+    )
+
+
+def _put(
+    store: SweepStore,
+    key: str,
+    spec: PointSpec,
+    point: SweepPoint,
+    extra_meta: dict | None = None,
+) -> None:
+    """Persist one computed point under its key with its meta."""
+    meta = spec.meta()
+    if point.analysis is not None:
+        meta["analysis"] = point.analysis
+    if extra_meta:
+        meta.update(extra_meta)
+    store.put(key, point.metrics, meta=meta, runtime=point.runtime)
+
+
+def _compute(spec: PointSpec) -> SweepPoint:
+    """Run one point on its substrate, capturing its runtime block."""
+    config = _point_config(spec)
+    analysis_block: dict | None = None
+    with RuntimeCapture() as rt:
+        if spec.substrate == "analytic":
+            # Importing the analysis layer needs only numpy; it loads
+            # scipy itself on the first numerical fallback, so the
+            # simulation substrates never pay for it.
+            from .. import analysis as _analysis
+
+            prediction = _analysis.analyze_scenario(config)
+            metrics = prediction.metrics()
+            analysis_block = prediction.as_meta()
+            counters = {"flows": config.num_flows}
+        else:
+            if spec.substrate == "fluid":
+                sim = FluidSimulator(config)
+                trace = sim.run()
+                counters = dict(sim.runtime)
+            else:
+                runner = EmulationRunner(
+                    config, record_interval_s=spec.record_interval_s, scheduler=spec.scheduler
+                )
+                trace = runner.run()
+                counters = runner.runtime_counters()
+            metrics = aggregate_metrics(trace)
+    return _sweep_point(spec, metrics, runtime=rt.block(counters), analysis=analysis_block)
+
+
+def _run_spec(spec: PointSpec, use_cache: bool, store: SweepStore | None) -> SweepPoint:
+    """Serve one point from the cache or store, or compute and persist it."""
+    if not use_cache and store is None:
+        # Pool workers: the parent keys, caches and persists the result.
+        return _compute(spec)
+    key = _cache_key(spec)
+    if use_cache and key in _CACHE:
+        return _CACHE[key]
+    metrics = store.get(key) if store is not None else None
+    if metrics is not None:
+        point = _sweep_point(spec, metrics)
+    else:
+        point = _compute(spec)
+        if store is not None:
+            _put(store, key, spec, point)
+    if use_cache:
+        _CACHE[key] = point
+    return point
 
 
 def run_point(
     mix: str,
     buffer_bdp: float,
     discipline: str,
-    substrate: str = "fluid",
-    short_rtt: bool = False,
-    duration_s: float = 5.0,
-    dt: float = scenarios.SWEEP_DT,
-    whi_init_bdp: float | None = None,
-    seed: int = 1,
+    *,
     seeds: int | Sequence[int] | None = None,
-    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S,
-    scheduler: str = DEFAULT_SCHEDULER,
     use_cache: bool = True,
     store: SweepStore | str | bool | None = None,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
+    **axes: Any,
 ) -> SweepPoint | SummaryPoint:
     """Run (or fetch from cache/store) a single sweep point.
+
+    ``axes`` are the remaining :class:`PointSpec` fields (``substrate``,
+    ``short_rtt``, ``duration_s``, ``dt``, ``whi_init_bdp``, ``seed``,
+    ``record_interval_s``, ``scheduler`` and the topology and churn axes);
+    any other keyword raises :class:`TypeError`.
 
     With ``seeds`` set (an int K or an explicit seed sequence) the point is
     replicated across seeds and a :class:`SummaryPoint` with mean/std/CI is
@@ -584,162 +722,42 @@ def run_point(
     scenario seed on *both* substrates, so fluid seed replicas are then
     genuinely distinct runs.
     """
-    if substrate not in SUBSTRATES:
-        raise ValueError(f"unknown substrate {substrate!r}")
-    arrivals, flow_size_dist, load, flows = normalize_churn_axis(
-        arrivals, flow_size_dist, load, flows
-    )
-    if substrate == "analytic" and arrivals is not None:
-        raise ValueError(
-            "the analytic substrate predicts steady states; churn workloads "
-            "(arrivals/flow_size_dist/load/flows) have no equilibrium to analyze"
-        )
-    # ``topology=None`` is the legacy dumbbell grid, where per-hop lists
-    # have nothing to apply to — validate them under the same rule.
-    hop_capacities, hop_delays, hop_disciplines = scenarios.validate_hop_axis(
-        hops, hop_capacities, hop_delays, hop_disciplines,
-        preset=topology or "dumbbell",
-    )
-    if hop_disciplines is not None:
-        # The per-hop list overrides the scalar discipline; label the point
-        # (and key/persist it) by what actually ran.
-        discipline = hop_discipline_label(hop_disciplines)
+    spec = PointSpec(mix, buffer_bdp, discipline, **axes).normalized()
     store = resolve_store(store)
-    if seeds is not None:
-        seed_list = _seed_list(seeds)
-        replicas = [
-            run_point(
-                mix,
-                buffer_bdp,
-                discipline,
-                substrate=substrate,
-                short_rtt=short_rtt,
-                duration_s=duration_s,
-                dt=dt,
-                whi_init_bdp=whi_init_bdp,
-                seed=s,
-                record_interval_s=record_interval_s,
-                scheduler=scheduler,
-                use_cache=use_cache,
-                store=store,
-                topology=topology,
-                hops=hops,
-                cross_flows=cross_flows,
-                hop_capacities=hop_capacities,
-                hop_delays=hop_delays,
-                hop_disciplines=hop_disciplines,
-                arrivals=arrivals,
-                flow_size_dist=flow_size_dist,
-                load=load,
-                flows=flows,
-            )
-            for s in seed_list
-        ]
-        return SummaryPoint(
-            mix=mix,
-            buffer_bdp=buffer_bdp,
-            discipline=discipline,
-            substrate=substrate,
-            summary=summarize_metrics([p.metrics for p in replicas]),
-            seeds=tuple(seed_list),
-        )
-    key = _cache_key(
-        mix, buffer_bdp, discipline, substrate, short_rtt, duration_s, dt,
-        whi_init_bdp, seed, record_interval_s, scheduler, topology, hops, cross_flows,
-        hop_capacities, hop_delays, hop_disciplines,
-        arrivals, flow_size_dist, load, flows,
-    )
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
-    config = _point_config(
-        mix, buffer_bdp, discipline, short_rtt, duration_s, dt, whi_init_bdp, seed,
-        topology, hops, cross_flows, hop_capacities, hop_delays, hop_disciplines,
-        arrivals, flow_size_dist, load, flows,
-    )
-    metrics = None
-    runtime: dict | None = None
-    analysis_block: dict | None = None
-    if store is not None:
-        skey = scenario_key(config, substrate, record_interval_s, scheduler)
-        metrics = store.get(skey)
-    if metrics is None:
-        with RuntimeCapture() as rt:
-            if substrate == "analytic":
-                # Importing the analysis layer needs only numpy; it loads
-                # scipy itself on the first numerical fallback, so the
-                # simulation substrates never pay for it.
-                from .. import analysis as _analysis
+    if seeds is None:
+        return _run_spec(spec, use_cache, store)
+    replicas = [replace(spec, seed=seed) for seed in _seed_list(seeds)]
+    return _summary_point(replicas, [_run_spec(s, use_cache, store) for s in replicas])
 
-                prediction = _analysis.analyze_scenario(config)
-                metrics = prediction.metrics()
-                analysis_block = prediction.as_meta()
-                counters = {"flows": config.num_flows}
-            else:
-                if substrate == "fluid":
-                    sim = FluidSimulator(config)
-                    trace = sim.run()
-                    counters = dict(sim.runtime)
-                else:
-                    runner = EmulationRunner(
-                        config, record_interval_s=record_interval_s, scheduler=scheduler
-                    )
-                    trace = runner.run()
-                    counters = runner.runtime_counters()
-                metrics = aggregate_metrics(trace)
-        runtime = rt.block(counters)
-        if store is not None:
-            meta = _store_meta(
-                mix, buffer_bdp, discipline, substrate, short_rtt, duration_s,
-                dt, whi_init_bdp, seed, record_interval_s, scheduler,
-                topology, hops, cross_flows,
-                hop_capacities, hop_delays, hop_disciplines,
-                arrivals, flow_size_dist, load, flows,
-            )
-            if analysis_block is not None:
-                meta["analysis"] = analysis_block
-            store.put(skey, metrics, meta=meta, runtime=runtime)
-    point = SweepPoint(
-        mix=mix,
-        buffer_bdp=buffer_bdp,
-        discipline=discipline,
-        substrate=substrate,
-        metrics=metrics,
-        seed=seed,
-        runtime=runtime,
-        analysis=analysis_block,
+
+def _task_args(spec: PointSpec) -> tuple[tuple, dict[str, Any]]:
+    # Executor tasks run ``run_point`` on the spec's fields.  The parent
+    # owns all cache and store writes; workers must not open (or pick up
+    # via REPRO_STORE) the store file.
+    return (), {**asdict(spec), "use_cache": False, "store": False}
+
+
+def _describe(spec: PointSpec) -> str:
+    return (
+        f"mix={spec.mix!r}, buffer_bdp={spec.buffer_bdp}, "
+        f"discipline={spec.discipline!r}, seed={spec.seed}"
     )
-    if use_cache:
-        _CACHE[key] = point
-    return point
+
+
+def _tracing(trace: str | Path | None) -> AbstractContextManager:
+    """Route telemetry for a whole grid to the span log ``trace``.
+
+    Workers self-enable via the env var the context manager sets.
+    """
+    return TELEMETRY.tracing(trace) if trace is not None else nullcontext()
 
 
 def _run_grid(
-    mixes: Iterable[str] | None = None,
-    buffers_bdp: Iterable[float] | None = None,
-    disciplines: Iterable[str] | None = None,
-    substrate: str = "fluid",
-    short_rtt: bool = False,
-    duration_s: float = 5.0,
-    dt: float = scenarios.SWEEP_DT,
-    whi_init_bdp: float | None = None,
+    grid: GridSpec,
     workers: int | None = None,
-    seeds: int | Sequence[int] | None = None,
-    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S,
-    scheduler: str = DEFAULT_SCHEDULER,
     store: SweepStore | str | bool | None = None,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
     executor: ExecutorPolicy | None = None,
     retry_failed: bool = True,
-    trace: str | Path | None = None,
     prune_analytic: bool = False,
     shard_index: int | None = None,
     shard_count: int | None = None,
@@ -750,24 +768,7 @@ def _run_grid(
     policy a non-empty failure list raises :class:`SweepPointError` instead
     of returning, after the rest of the grid has completed and persisted.
     """
-    if trace is not None:
-        # Re-enter with telemetry routed to the span log for the whole grid
-        # (workers self-enable via the env var the context manager sets).
-        # ``locals()`` is snapshotted before any other name is bound, so it
-        # holds exactly this function's parameters.
-        params = dict(locals())
-        params["trace"] = None
-        with TELEMETRY.tracing(trace):
-            return _run_grid(**params)
-    if substrate not in SUBSTRATES:
-        raise ValueError(f"unknown substrate {substrate!r}")
-    arrivals, flow_size_dist, load, flows = normalize_churn_axis(
-        arrivals, flow_size_dist, load, flows
-    )
-    hop_capacities, hop_delays, hop_disciplines = scenarios.validate_hop_axis(
-        hops, hop_capacities, hop_delays, hop_disciplines,
-        preset=topology or "dumbbell",
-    )
+    substrate = grid.base.substrate
     shard_index, shard_count = validate_shard(shard_index, shard_count)
     if prune_analytic and substrate == "emulation":
         raise ValueError(
@@ -776,95 +777,43 @@ def _run_grid(
             "fluid model, not the packet emulator"
         )
     store = resolve_store(store)
-    mixes = list(mixes) if mixes is not None else list(scenarios.CCA_MIXES)
-    buffers = list(buffers_bdp) if buffers_bdp is not None else list(scenarios.BUFFER_SWEEP_BDP)
-    disciplines = list(disciplines) if disciplines is not None else list(scenarios.DISCIPLINES)
-    if hop_disciplines is not None:
-        # The per-hop list fixes every hop's discipline, so sweeping the
-        # discipline axis would label identical runs droptail *and* red.
-        if len(disciplines) > 1:
-            raise ValueError(
-                "hop_disciplines fixes every hop's queue discipline; restrict "
-                "the sweep to a single disciplines value (e.g. --disciplines "
-                "droptail) instead of sweeping the discipline axis"
-            )
-        # Label the grid's single discipline slot by what actually runs.
-        disciplines = [hop_discipline_label(hop_disciplines)]
-    seed_list = _seed_list(seeds) if seeds is not None else [1]
-    combos = [
-        (discipline, mix, buffer_bdp)
-        for discipline in disciplines
-        for mix in mixes
-        for buffer_bdp in buffers
-    ]
-    tasks = [combo + (seed,) for combo in combos for seed in seed_list]
-
-    def task_key(task: tuple) -> tuple:
-        discipline, mix, buffer_bdp, seed = task
-        return _cache_key(
-            mix, buffer_bdp, discipline, substrate, short_rtt, duration_s, dt,
-            whi_init_bdp, seed, record_interval_s, scheduler,
-            topology, hops, cross_flows,
-            hop_capacities, hop_delays, hop_disciplines,
-            arrivals, flow_size_dist, load, flows,
-        )
-
-    def task_config(task: tuple):
-        discipline, mix, buffer_bdp, seed = task
-        return _point_config(
-            mix, buffer_bdp, discipline, short_rtt, duration_s, dt,
-            whi_init_bdp, seed, topology, hops, cross_flows,
-            hop_capacities, hop_delays, hop_disciplines,
-            arrivals, flow_size_dist, load, flows,
-        )
-
-    def point_key(task: tuple) -> str:
-        return scenario_key(task_config(task), substrate, record_interval_s, scheduler)
-
+    keys: dict[PointSpec, str] = {}
+    exec_failures: list[PointFailure] = []
+    for spec in grid.points():
+        try:
+            keys[spec] = _cache_key(spec)
+        except Exception as exc:
+            # A point whose scenario cannot be built has no key: report it
+            # as a failed grid point instead of aborting the whole grid.
+            error = f"{type(exc).__name__}: {exc}"
+            exec_failures.append(PointFailure(task=spec, error=error, attempts=0))
+    tasks = list(keys)
     if shard_count is not None:
         # Deterministic grid partitioning: this process takes only the
         # points whose scenario key hashes into its shard, so K hosts can
         # split one grid and ``store merge`` reassembles the result set.
-        tasks = [
-            task for task in tasks
-            if shard_of(point_key(task), shard_count) == shard_index
-        ]
+        tasks = [spec for spec in tasks if shard_of(keys[spec], shard_count) == shard_index]
 
-    results: dict[tuple, SweepPoint] = {}
-    pending: list[tuple] = []
-    pending_keys: set[tuple] = set()
-    duplicates: list[tuple] = []
-    for task in tasks:
-        key = task_key(task)
+    results: dict[PointSpec, SweepPoint] = {}
+    pending: list[PointSpec] = []
+    pending_keys: set[str] = set()
+    duplicates: list[PointSpec] = []
+    for spec in tasks:
+        key = keys[spec]
         if key in _CACHE:
-            results[task] = _CACHE[key]
+            results[spec] = _CACHE[key]
             continue
         if key in pending_keys:
-            # Same cache key as an already-pending task (fluid seed
-            # replicas alias deliberately): compute once, share the result.
-            duplicates.append(task)
+            # Same key as an already-pending task (fluid seed replicas
+            # alias deliberately): compute once, share the result.
+            duplicates.append(spec)
             continue
         if store is not None:
-            discipline, mix, buffer_bdp, seed = task
-            config = _point_config(
-                mix, buffer_bdp, discipline, short_rtt, duration_s, dt,
-                whi_init_bdp, seed, topology, hops, cross_flows,
-                hop_capacities, hop_delays, hop_disciplines,
-                arrivals, flow_size_dist, load, flows,
-            )
-            metrics = store.get(scenario_key(config, substrate, record_interval_s, scheduler))
+            metrics = store.get(key)
             if metrics is not None:
-                point = SweepPoint(
-                    mix=mix,
-                    buffer_bdp=buffer_bdp,
-                    discipline=discipline,
-                    substrate=substrate,
-                    metrics=metrics,
-                    seed=seed,
-                )
-                results[task] = _CACHE[key] = point
+                results[spec] = _CACHE[key] = _sweep_point(spec, metrics)
                 continue
-        pending.append(task)
+        pending.append(spec)
         pending_keys.add(key)
 
     # Analytic pre-pass pruner: group the pending points whose buffer
@@ -873,75 +822,59 @@ def _run_grid(
     # occupancy normalisation — is independent of the buffer size, so one
     # member (the *primary*) is computed and the rest become aliases,
     # materialised from the primary's result after the dispatch below.
-    alias_of: dict[tuple, tuple] = {}
+    alias_of: dict[PointSpec, PointSpec] = {}
     if prune_analytic and pending:
         # The certificate is closed-form arithmetic, and importing the
         # analysis layer loads no scipy (only its numerical fallback does).
         from .. import analysis as _analysis
 
-        def _certificate(task: tuple) -> str | None:
-            config = task_config(task)
+        def _certificate(spec: PointSpec) -> str | None:
+            config = _point_config(spec)
             if not _analysis.buffer_never_binds(config):
                 return None
             # All group members share the scenario up to the buffer size;
             # key the group by the buffer-free scenario.
             return scenario_key(
-                config.with_buffer(float("inf")), substrate, record_interval_s, scheduler
+                config.with_buffer(float("inf")), substrate,
+                spec.record_interval_s, spec.scheduler,
             )
 
-        certified: dict[str, list[tuple]] = {}
-        kept: list[tuple] = []
-        for task in pending:
-            signature = _certificate(task)
+        certified: dict[str, list[PointSpec]] = {}
+        kept: list[PointSpec] = []
+        for spec in pending:
+            signature = _certificate(spec)
             if signature is None:
-                kept.append(task)
+                kept.append(spec)
             else:
-                certified.setdefault(signature, []).append(task)
+                certified.setdefault(signature, []).append(spec)
         # A point already resolved (cache/store) with the same certificate
         # can serve as the group's primary without computing anything.
         # (Infinite-buffer rows are excluded: their occupancy column cannot
         # be rescaled onto a finite alias.)
-        resolved: dict[str, tuple] = {}
-        for task in results:
-            if math.isinf(task[2]):
+        resolved: dict[str, PointSpec] = {}
+        for spec in results:
+            if math.isinf(spec.buffer_bdp):
                 continue
-            signature = _certificate(task)
+            signature = _certificate(spec)
             if signature is not None and signature not in resolved:
-                resolved[signature] = task
+                resolved[signature] = spec
         for signature, group in certified.items():
             primary = resolved.get(signature)
             if primary is None:
                 # Prefer the smallest finite buffer: its occupancy column
                 # rescales to every larger alias without extrapolation.
-                primary = min(group, key=lambda t: (math.isinf(t[2]), t[2]))
+                primary = min(group, key=lambda s: (math.isinf(s.buffer_bdp), s.buffer_bdp))
                 kept.append(primary)
-            for task in group:
-                if task != primary:
-                    alias_of[task] = primary
+            for spec in group:
+                if spec != primary:
+                    alias_of[spec] = primary
         pending = kept
 
-    def persist(task: tuple, point: SweepPoint, extra_meta: dict | None = None) -> None:
+    def persist(spec: PointSpec, point: SweepPoint, extra_meta: dict | None = None) -> None:
         """Land one computed point: in-process cache + persistent store."""
-        results[task] = _CACHE[task_key(task)] = point
+        results[spec] = _CACHE[keys[spec]] = point
         if store is not None:
-            discipline, mix, buffer_bdp, seed = task
-            meta = _store_meta(
-                mix, buffer_bdp, discipline, substrate, short_rtt, duration_s,
-                dt, whi_init_bdp, seed, record_interval_s, scheduler,
-                topology, hops, cross_flows,
-                hop_capacities, hop_delays, hop_disciplines,
-                arrivals, flow_size_dist, load, flows,
-            )
-            if point.analysis is not None:
-                meta["analysis"] = point.analysis
-            if extra_meta:
-                meta.update(extra_meta)
-            store.put(
-                point_key(task),
-                point.metrics,
-                meta=meta,
-                runtime=point.runtime,
-            )
+            _put(store, keys[spec], spec, point, extra_meta)
 
     # The executor policy: an explicit ``executor`` wins, with ``workers``
     # filling its pool size when the policy leaves it unset; the bare
@@ -950,67 +883,30 @@ def _run_grid(
     if executor is not None and policy.workers is None and workers is not None:
         policy = replace(policy, workers=workers)
 
-    exec_failures: list[PointFailure] = []
-
     # ``retry_failed=False`` resume semantics: points whose last attempt is
     # recorded as a *failure* row are reported again without recomputation,
     # so a warm re-run after a partial campaign recomputes nothing.
     if store is not None and not retry_failed and pending:
         recorded = {rec["key"]: rec for rec in store.failures()}
         if recorded:
-            fresh: list[tuple] = []
-            for task in pending:
-                record = recorded.get(point_key(task))
+            fresh: list[PointSpec] = []
+            for spec in pending:
+                record = recorded.get(keys[spec])
                 if record is None:
-                    fresh.append(task)
+                    fresh.append(spec)
                 else:
                     exec_failures.append(
                         PointFailure(
-                            task=task,
+                            task=spec,
                             error=str(record.get("error") or "recorded failure"),
                             attempts=0,
                         )
                     )
             pending = fresh
 
-    point_kwargs = {
-        "substrate": substrate,
-        "short_rtt": short_rtt,
-        "duration_s": duration_s,
-        "dt": dt,
-        "whi_init_bdp": whi_init_bdp,
-        "record_interval_s": record_interval_s,
-        "scheduler": scheduler,
-        # The parent owns all cache and store writes; workers must not
-        # open (or pick up via REPRO_STORE) the store file.
-        "use_cache": False,
-        "store": False,
-        "topology": topology,
-        "hops": hops,
-        "cross_flows": cross_flows,
-        "hop_capacities": hop_capacities,
-        "hop_delays": hop_delays,
-        "hop_disciplines": hop_disciplines,
-        "arrivals": arrivals,
-        "flow_size_dist": flow_size_dist,
-        "load": load,
-        "flows": flows,
-    }
-
-    def task_args(task: tuple) -> tuple[tuple, dict]:
-        discipline, mix, buffer_bdp, seed = task
-        return (mix, buffer_bdp, discipline), {**point_kwargs, "seed": seed}
-
-    def describe(task: tuple) -> str:
-        discipline, mix, buffer_bdp, seed = task
-        return (
-            f"mix={mix!r}, buffer_bdp={buffer_bdp}, "
-            f"discipline={discipline!r}, seed={seed}"
-        )
-
-    def execute(batch: list[tuple]) -> None:
+    def execute(batch: list[PointSpec]) -> None:
         report = ResilientExecutor(policy).run(
-            batch, run_point, task_args, on_result=persist, describe=describe
+            batch, run_point, _task_args, on_result=persist, describe=_describe
         )
         exec_failures.extend(report.failures)
 
@@ -1024,15 +920,7 @@ def _run_grid(
         for chunk_start in range(0, len(pending), BATCH_CHUNK):
             chunk = pending[chunk_start : chunk_start + BATCH_CHUNK]
             try:
-                configs = [
-                    _point_config(
-                        mix, buffer_bdp, discipline, short_rtt, duration_s, dt,
-                        whi_init_bdp, seed, topology, hops, cross_flows,
-                        hop_capacities, hop_delays, hop_disciplines,
-                        arrivals, flow_size_dist, load, flows,
-                    )
-                    for discipline, mix, buffer_bdp, seed in chunk
-                ]
+                configs = [_point_config(spec) for spec in chunk]
                 with RuntimeCapture() as capture:
                     traces = simulate_many(configs)
             except Exception:
@@ -1041,22 +929,16 @@ def _run_grid(
             # Lockstep chunks share one integration, so the measured cost
             # is amortised evenly over the chunk's points (``shared=``).
             chunk_runtime = capture.block(
-                {"steps": int(round(duration_s / dt)) + 1, "lockstep": len(chunk)},
+                {
+                    "steps": int(round(grid.base.duration_s / grid.base.dt)) + 1,
+                    "lockstep": len(chunk),
+                },
                 shared=len(chunk),
             )
-            for task, point_trace in zip(chunk, traces, strict=True):
-                discipline, mix, buffer_bdp, seed = task
+            for spec, point_trace in zip(chunk, traces, strict=True):
                 persist(
-                    task,
-                    SweepPoint(
-                        mix=mix,
-                        buffer_bdp=buffer_bdp,
-                        discipline=discipline,
-                        substrate=substrate,
-                        metrics=aggregate_metrics(point_trace),
-                        seed=seed,
-                        runtime=chunk_runtime,
-                    ),
+                    spec,
+                    _sweep_point(spec, aggregate_metrics(point_trace), runtime=chunk_runtime),
                 )
     elif pending:
         # Serial path: the executor runs each point inline (retries,
@@ -1067,36 +949,29 @@ def _run_grid(
     # the occupancy column rescaled to the alias's own buffer, persisted
     # with a ``pruned`` meta block recording the aliasing.  A result row
     # supersedes any stale failure row for the alias in the store.
-    for task, primary in alias_of.items():
+    for spec, primary in alias_of.items():
         source = results.get(primary)
         if source is None:
             # The primary itself failed or was skipped; the alias simply
             # stays uncomputed (and unrecorded) this run.
             continue
-        discipline, mix, buffer_bdp, seed = task
-        primary_buffer = primary[2]
         occupancy = source.metrics.buffer_occupancy_percent
-        if math.isinf(buffer_bdp):
+        if math.isinf(spec.buffer_bdp):
             occupancy = 0.0
         elif not math.isnan(occupancy):
-            occupancy = min(100.0, occupancy * (primary_buffer / buffer_bdp))
+            occupancy = min(100.0, occupancy * (primary.buffer_bdp / spec.buffer_bdp))
         TELEMETRY.count("sweep.pruned_points")
         persist(
-            task,
-            SweepPoint(
-                mix=mix,
-                buffer_bdp=buffer_bdp,
-                discipline=discipline,
-                substrate=substrate,
-                metrics=replace(source.metrics, buffer_occupancy_percent=occupancy),
-                seed=seed,
-                runtime=None,
+            spec,
+            _sweep_point(
+                spec,
+                replace(source.metrics, buffer_occupancy_percent=occupancy),
                 analysis=source.analysis,
             ),
             extra_meta={
                 "pruned": {
-                    "aliased_to": point_key(primary),
-                    "primary_buffer_bdp": primary_buffer,
+                    "aliased_to": keys[primary],
+                    "primary_buffer_bdp": primary.buffer_bdp,
                     "reason": (
                         "buffer never binds: inflight is provably below every "
                         "buffer in the group, so the trajectory is identical "
@@ -1106,23 +981,22 @@ def _run_grid(
             },
         )
 
-    for task in duplicates:
+    for spec in duplicates:
         # A duplicate's primary may itself have failed; it then simply has
         # no result to share.
-        key = task_key(task)
-        if key in _CACHE:
-            results[task] = _CACHE[key]
+        if keys[spec] in _CACHE:
+            results[spec] = _CACHE[keys[spec]]
 
     failures: list[CampaignFailure] = []
     for failure in exec_failures:
-        discipline, mix, buffer_bdp, seed = failure.task
+        spec = failure.task
         failures.append(
             CampaignFailure(
-                mix=mix,
-                buffer_bdp=buffer_bdp,
-                discipline=discipline,
-                substrate=substrate,
-                seed=seed,
+                mix=spec.mix,
+                buffer_bdp=spec.buffer_bdp,
+                discipline=spec.discipline,
+                substrate=spec.substrate,
+                seed=spec.seed,
                 error=failure.error,
                 attempts=failure.attempts,
             )
@@ -1130,18 +1004,9 @@ def _run_grid(
         if store is not None and failure.attempts > 0:
             # Freshly attempted failures are recorded (axis combo + error)
             # so warm re-runs can skip them; attempts == 0 means the row is
-            # already in the store (served by retry_failed=False above).
-            store.put_failure(
-                point_key(failure.task),
-                failure.error,
-                meta=_store_meta(
-                    mix, buffer_bdp, discipline, substrate, short_rtt, duration_s,
-                    dt, whi_init_bdp, seed, record_interval_s, scheduler,
-                    topology, hops, cross_flows,
-                    hop_capacities, hop_delays, hop_disciplines,
-                    arrivals, flow_size_dist, load, flows,
-                ),
-            )
+            # already in the store (served by retry_failed=False above) or
+            # the point has no key to record it under.
+            store.put_failure(keys[spec], failure.error, meta=spec.meta())
     if failures and policy.on_failure == "raise":
         first = failures[0]
         raise SweepPointError(
@@ -1149,27 +1014,13 @@ def _run_grid(
             error=first.error,
         )
 
-    if seeds is None:
-        singles = [results[combo + (1,)] for combo in combos if combo + (1,) in results]
-        return singles, failures
+    if grid.seeds is None:
+        return [results[spec] for spec in grid.points() if spec in results], failures
     summaries: list[SummaryPoint] = []
-    for combo in combos:
-        discipline, mix, buffer_bdp = combo
-        replicas = [
-            results[combo + (seed,)] for seed in seed_list if combo + (seed,) in results
-        ]
-        if not replicas:
-            continue
-        summaries.append(
-            SummaryPoint(
-                mix=mix,
-                buffer_bdp=buffer_bdp,
-                discipline=discipline,
-                substrate=substrate,
-                summary=summarize_metrics([p.metrics for p in replicas]),
-                seeds=tuple(s for s in seed_list if combo + (s,) in results),
-            )
-        )
+    for combo in grid.combos():
+        replicas = [spec for spec in combo if spec in results]
+        if replicas:
+            summaries.append(_summary_point(replicas, [results[s] for s in replicas]))
     return summaries, failures
 
 
@@ -1177,34 +1028,14 @@ def run_sweep(
     mixes: Iterable[str] | None = None,
     buffers_bdp: Iterable[float] | None = None,
     disciplines: Iterable[str] | None = None,
-    substrate: str = "fluid",
-    short_rtt: bool = False,
-    duration_s: float = 5.0,
-    dt: float = scenarios.SWEEP_DT,
-    whi_init_bdp: float | None = None,
-    workers: int | None = None,
-    seeds: int | Sequence[int] | None = None,
-    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S,
-    scheduler: str = DEFAULT_SCHEDULER,
-    store: SweepStore | str | bool | None = None,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
-    executor: ExecutorPolicy | None = None,
-    retry_failed: bool = True,
-    trace: str | Path | None = None,
-    prune_analytic: bool = False,
-    shard_index: int | None = None,
-    shard_count: int | None = None,
+    **kwargs: Any,
 ) -> list[SweepPoint] | list[SummaryPoint]:
     """Run the full (or a reduced) aggregate-validation sweep.
+
+    Takes the keywords of :func:`run_campaign`: the execution keywords
+    listed there, and every other keyword is an axis shared by all grid
+    points (a :class:`PointSpec` field such as ``substrate``,
+    ``duration_s`` or ``topology``).
 
     ``topology`` swaps the scenario family of every grid point from the
     paper's dumbbell to a multi-bottleneck preset ("parking-lot" or
@@ -1265,40 +1096,24 @@ def run_sweep(
     run one shard against separate stores and ``repro-bbr store merge``
     reassembles them.
     """
-    points, _failures = _run_grid(**locals())
-    return points
+    return run_campaign(mixes, buffers_bdp, disciplines, **kwargs).points
 
 
 def run_campaign(
     mixes: Iterable[str] | None = None,
     buffers_bdp: Iterable[float] | None = None,
     disciplines: Iterable[str] | None = None,
-    substrate: str = "fluid",
-    short_rtt: bool = False,
-    duration_s: float = 5.0,
-    dt: float = scenarios.SWEEP_DT,
-    whi_init_bdp: float | None = None,
-    workers: int | None = None,
+    *,
     seeds: int | Sequence[int] | None = None,
-    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S,
-    scheduler: str = DEFAULT_SCHEDULER,
+    workers: int | None = None,
     store: SweepStore | str | bool | None = None,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
     executor: ExecutorPolicy | None = None,
     retry_failed: bool = True,
     trace: str | Path | None = None,
     prune_analytic: bool = False,
     shard_index: int | None = None,
     shard_count: int | None = None,
+    **axes: Any,
 ) -> CampaignResult:
     """Run a sweep grid and return points *and* structured failures.
 
@@ -1307,9 +1122,21 @@ def run_campaign(
     reports every grid point the executor gave up on — the service-grade
     entry point: with ``executor=ExecutorPolicy(on_failure="skip", ...)``
     a campaign survives crashing or failing points, completes the rest of
-    the grid, and reports what failed instead of raising.
+    the grid, and reports what failed instead of raising.  ``axes`` build
+    the grid's base :class:`PointSpec` (see :meth:`GridSpec.build`).
     """
-    points, failures = _run_grid(**locals())
+    grid = GridSpec.build(mixes, buffers_bdp, disciplines, seeds, **axes)
+    with _tracing(trace):
+        points, failures = _run_grid(
+            grid,
+            workers=workers,
+            store=store,
+            executor=executor,
+            retry_failed=retry_failed,
+            prune_analytic=prune_analytic,
+            shard_index=shard_index,
+            shard_count=shard_count,
+        )
     return CampaignResult(points=points, failures=failures)
 
 
@@ -1317,89 +1144,42 @@ def grid_point_keys(
     mixes: Iterable[str] | None = None,
     buffers_bdp: Iterable[float] | None = None,
     disciplines: Iterable[str] | None = None,
-    substrate: str = "fluid",
-    short_rtt: bool = False,
-    duration_s: float = 5.0,
-    dt: float = scenarios.SWEEP_DT,
-    whi_init_bdp: float | None = None,
+    *,
     seeds: int | Sequence[int] | None = None,
-    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S,
-    scheduler: str = DEFAULT_SCHEDULER,
-    topology: str | None = None,
-    hops: int = 3,
-    cross_flows: int = 1,
-    hop_capacities: Sequence[float] | None = None,
-    hop_delays: Sequence[float] | None = None,
-    hop_disciplines: Sequence[str] | None = None,
-    arrivals: str | None = None,
-    flow_size_dist: str | None = None,
-    load: float | None = None,
-    flows: int | None = None,
     shard_index: int | None = None,
     shard_count: int | None = None,
+    **axes: Any,
 ) -> list[tuple[dict, str]]:
     """Enumerate a grid's ``(coords, scenario_key)`` pairs without running it.
 
-    Powers ``repro-bbr status``: the same axis normalisation, combo
-    enumeration and key derivation as :func:`_run_grid`, but no point is
-    computed.  Tasks that alias onto one scenario key (fluid seed replicas
-    of seed-free scenarios) are deduplicated — the returned list has one
+    Powers ``repro-bbr status``: the same :class:`GridSpec` enumeration and
+    key derivation as :func:`run_campaign`, but no point is computed.
+    Tasks that alias onto one scenario key (fluid seed replicas of
+    seed-free scenarios) are deduplicated — the returned list has one
     entry per *distinct* stored record the grid would produce, so
     ``done + failed + remaining`` adds up against the store.
     ``shard_index``/``shard_count`` restrict the enumeration to one shard,
     mirroring the partitioning of :func:`run_sweep`.
     """
-    if substrate not in SUBSTRATES:
-        raise ValueError(f"unknown substrate {substrate!r}")
-    arrivals, flow_size_dist, load, flows = normalize_churn_axis(
-        arrivals, flow_size_dist, load, flows
-    )
-    hop_capacities, hop_delays, hop_disciplines = scenarios.validate_hop_axis(
-        hops, hop_capacities, hop_delays, hop_disciplines,
-        preset=topology or "dumbbell",
-    )
+    grid = GridSpec.build(mixes, buffers_bdp, disciplines, seeds, **axes)
     shard_index, shard_count = validate_shard(shard_index, shard_count)
-    mixes = list(mixes) if mixes is not None else list(scenarios.CCA_MIXES)
-    buffers = list(buffers_bdp) if buffers_bdp is not None else list(scenarios.BUFFER_SWEEP_BDP)
-    disciplines = list(disciplines) if disciplines is not None else list(scenarios.DISCIPLINES)
-    if hop_disciplines is not None:
-        if len(disciplines) > 1:
-            raise ValueError(
-                "hop_disciplines fixes every hop's queue discipline; restrict "
-                "the grid to a single disciplines value"
-            )
-        disciplines = [hop_discipline_label(hop_disciplines)]
-    seed_list = _seed_list(seeds) if seeds is not None else [1]
     out: list[tuple[dict, str]] = []
     seen: set[str] = set()
-    for discipline in disciplines:
-        for mix in mixes:
-            for buffer_bdp in buffers:
-                for seed in seed_list:
-                    config = _point_config(
-                        mix, buffer_bdp, discipline, short_rtt, duration_s, dt,
-                        whi_init_bdp, seed, topology, hops, cross_flows,
-                        hop_capacities, hop_delays, hop_disciplines,
-                        arrivals, flow_size_dist, load, flows,
-                    )
-                    key = scenario_key(config, substrate, record_interval_s, scheduler)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if shard_count is not None and shard_of(key, shard_count) != shard_index:
-                        continue
-                    out.append(
-                        (
-                            {
-                                "mix": mix,
-                                "buffer_bdp": buffer_bdp,
-                                "discipline": discipline,
-                                "substrate": substrate,
-                                "seed": seed,
-                            },
-                            key,
-                        )
-                    )
+    for spec in grid.points():
+        key = _cache_key(spec)
+        if key in seen:
+            continue
+        seen.add(key)
+        if shard_count is not None and shard_of(key, shard_count) != shard_index:
+            continue
+        coords = {
+            "mix": spec.mix,
+            "buffer_bdp": spec.buffer_bdp,
+            "discipline": spec.discipline,
+            "substrate": spec.substrate,
+            "seed": spec.seed,
+        }
+        out.append((coords, key))
     return out
 
 

@@ -7,9 +7,8 @@ Every store row gains a compact, *non-keyed* execution-metadata block::
 
 Non-keyed means it never participates in ``scenario_key`` — two runs of
 the same scenario produce bit-identical keys and metrics regardless of
-how long they took (registered as an ``EXECUTION_PARAMS`` concern in
-``devtools/cachekey.py``; no ``SCHEMA_VERSION`` bump, old rows load
-unchanged).
+how long they took (it is no ``PointSpec`` field, so it never reaches
+the key; no ``SCHEMA_VERSION`` bump, old rows load unchanged).
 
 Caveats stated once here rather than per row: ``max_rss_kb`` is the
 *process* high-water mark at capture end (``ru_maxrss``), so per-point

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from repro import cli
@@ -453,6 +455,25 @@ class TestExecution:
         # Resume: a second invocation recomputes nothing and still succeeds.
         sweep_module.clear_cache()
         assert cli.main(argv) == 0
+
+    def test_per_seed_csv_exports_only_this_campaigns_seeds(self, tmp_path, capsys):
+        # Regression: the export filtered the store by meta but never by
+        # seed, so a --seeds 1 campaign exported every seed a wider campaign
+        # had left in the same store.
+        sweep_module.clear_cache()
+        argv = [
+            "campaign", "--substrate", "emulation",
+            "--store", str(tmp_path / "campaign.jsonl"),
+            "--buffers", "1", "--mixes", "BBRv1", "--disciplines", "droptail",
+            "--duration", "0.5",
+        ]
+        assert cli.main(argv + ["--seeds", "3"]) == 0
+        per_seed_path = tmp_path / "per_seed.csv"
+        assert cli.main(argv + ["--seeds", "1", "--per-seed-csv", str(per_seed_path)]) == 0
+        capsys.readouterr()
+        with per_seed_path.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["seed"] for row in rows] == ["1"]
 
     def test_campaign_without_store_warns(self, capsys):
         sweep_module.clear_cache()

@@ -6,7 +6,7 @@ Three layers:
   violation per rule id, each checker pointed at the matching root;
 * synthetic cache-key regressions — an unhashed ``ScenarioConfig`` field
   must trip ``CACHE001``, an unprobeable field ``CACHE003``, schema drift
-  ``CACHE004``;
+  ``CACHE004``, a preset field outside ``PointSpec`` ``CACHE005``;
 * the repo itself — ``repro-bbr check`` must run clean (exit 0) with no
   stale allowlist entries.
 """
@@ -169,22 +169,19 @@ def test_cache001_allowlisted_exclusion_is_quiet():
     assert not [f for f in findings if "jitter_budget_s" in f.message]
 
 
-def test_cache002_axis_missing_from_key_and_meta():
-    def fake_point(mix, buffer_bdp, shiny, use_cache=True):
-        pass
+def test_cache005_preset_field_outside_point_spec():
+    @dataclasses.dataclass(frozen=True)
+    class Preset:
+        mixes: list | None = None
+        shiny: float = 1.0
+        store_path: str | None = None
 
-    def fake_key(mix, buffer_bdp):
-        pass
-
-    def fake_meta(mix, buffer_bdp):
-        pass
-
-    findings = cachekey.check_axis_coverage(
-        point_fn=fake_point, sweep_fn=None, key_fn=fake_key, meta_fn=fake_meta
+    findings = cachekey.check_preset_coverage(
+        preset_cls=Preset, execution_fields=frozenset({"store_path"})
     )
-    shiny = [f for f in findings if "'shiny'" in f.message]
-    assert [f.rule for f in shiny] == ["CACHE002", "CACHE002"]  # key + meta
-    assert not [f for f in findings if "use_cache" in f.message]  # execution param
+    assert [f.rule for f in findings] == ["CACHE005"]
+    assert "Preset.shiny" in findings[0].message
+    assert cachekey.check_preset_coverage() == []
 
 
 def test_cache003_unprobeable_field():

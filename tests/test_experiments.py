@@ -141,7 +141,7 @@ class TestSweep:
                 record_interval_s=0.01, scheduler="delayline",
             )
             params.update(overrides)
-            return sweep._cache_key(**params)
+            return sweep.PointSpec(**params).normalized().key()
 
         base = key()
         # Regression: points differing only in seed (or in the emulator's
