@@ -22,9 +22,16 @@ Quickstart::
     config = dumbbell_scenario(["bbr1"] * 5 + ["reno"] * 5, buffer_bdp=2.0)
     trace = simulate(config)
     print(aggregate_metrics(trace))
+
+The subpackages load on first use, so ``import repro`` imports no numpy.
 """
 
-from . import analysis, config, core, emulation, experiments, metrics, topology, units
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
+from . import config, topology, units
 from .config import (
     FlowConfig,
     FluidParams,
@@ -35,6 +42,18 @@ from .config import (
 )
 
 __version__ = "1.0.0"
+
+#: Subpackages loaded on first attribute access (PEP 562): ``import repro``
+#: and the CLI's plan/store layer stay numpy-free, and each substrate is
+#: imported only by the runs that use it.
+_SUBPACKAGES = frozenset({"analysis", "core", "emulation", "experiments", "metrics"})
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "analysis",

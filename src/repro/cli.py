@@ -109,9 +109,7 @@ from typing import Any
 
 from . import units
 from .config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
-from .core.simulator import simulate
-from .emulation.runner import emulate
-from .experiments import figures, phase, presets, report, scenarios, sweep
+from .experiments import presets, report, scenarios, sweep
 from .experiments.backends import BACKENDS
 from .experiments.executor import ExecutorPolicy
 from .experiments.store import SweepStore, resolve_store
@@ -378,7 +376,7 @@ def _add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--substrate", choices=["fluid", "emulation", "analytic"], default="fluid"
     )
-    parser.add_argument("--buffers", type=float, nargs="+", default=list(figures.DEFAULT_SWEEP_BUFFERS))
+    parser.add_argument("--buffers", type=float, nargs="+", default=list(scenarios.DEFAULT_SWEEP_BUFFERS))
     parser.add_argument("--mixes", nargs="+", default=list(scenarios.CCA_MIXES))
     parser.add_argument("--disciplines", nargs="+", default=list(scenarios.DISCIPLINES))
     parser.add_argument("--duration", type=float, default=5.0)
@@ -394,9 +392,9 @@ def _add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_figure_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser("figure", help="regenerate one aggregate figure")
-    parser.add_argument("name", choices=sorted(figures.AGGREGATE_FIGURES))
+    parser.add_argument("name", choices=sorted(scenarios.AGGREGATE_FIGURES))
     parser.add_argument("--substrate", choices=["fluid", "emulation"], default="fluid")
-    parser.add_argument("--buffers", type=float, nargs="+", default=list(figures.DEFAULT_SWEEP_BUFFERS))
+    parser.add_argument("--buffers", type=float, nargs="+", default=list(scenarios.DEFAULT_SWEEP_BUFFERS))
     parser.add_argument("--mixes", nargs="+", default=None)
     parser.add_argument("--disciplines", nargs="+", default=None)
     parser.add_argument("--duration", type=float, default=5.0)
@@ -645,28 +643,28 @@ def _add_stability_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--versions",
         nargs="+",
-        choices=list(phase.DEFAULT_VERSIONS),
-        default=list(phase.DEFAULT_VERSIONS),
+        choices=list(scenarios.PHASE_VERSIONS),
+        default=list(scenarios.PHASE_VERSIONS),
     )
     parser.add_argument(
         "--flow-counts",
         type=int,
         nargs="+",
-        default=list(phase.DEFAULT_FLOW_COUNTS),
+        default=list(scenarios.PHASE_FLOW_COUNTS),
         metavar="N",
     )
     parser.add_argument(
         "--rtts-ms",
         type=float,
         nargs="+",
-        default=list(phase.DEFAULT_RTTS_MS),
+        default=list(scenarios.PHASE_RTTS_MS),
         metavar="MS",
     )
     parser.add_argument(
         "--buffers",
         type=float,
         nargs="+",
-        default=list(phase.DEFAULT_BUFFERS_BDP),
+        default=list(scenarios.PHASE_BUFFERS_BDP),
         metavar="BDP",
     )
     parser.add_argument("--capacity-mbps", type=float, default=100.0)
@@ -789,6 +787,17 @@ def _run_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _substrate_trace(config: Any, substrate: str) -> Any:
+    """Run ``config`` on the fluid or emulation substrate, loaded on first use."""
+    if substrate == "fluid":
+        from .core.simulator import simulate
+
+        return simulate(config)
+    from .emulation.runner import emulate
+
+    return emulate(config)
+
+
 def _run_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "export":
         return _run_trace_export(args)
@@ -801,8 +810,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         buffer_bdp=args.buffer_bdp,
     )
-    trace = simulate(config) if args.substrate == "fluid" else emulate(config)
-    metrics = aggregate_metrics(trace)
+    metrics = aggregate_metrics(_substrate_trace(config, args.substrate))
     rows = [[key, value] for key, value in metrics.as_dict().items()]
     print(report.format_table(["metric", "value"], rows))
     return 0
@@ -887,7 +895,9 @@ def _figure_rows(
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    metric = figures.AGGREGATE_FIGURES[args.name]
+    from .experiments import figures
+
+    metric = scenarios.AGGREGATE_FIGURES[args.name]
     data = figures.aggregate_figure(
         metric,
         substrate=args.substrate,
@@ -1138,7 +1148,7 @@ def _run_topology(args: argparse.Namespace) -> int:
     substrates = ["fluid", "emulation"] if args.substrate == "both" else [args.substrate]
     csv_rows: list[dict[str, object]] = []
     for substrate in substrates:
-        trace = simulate(config) if substrate == "fluid" else emulate(config)
+        trace = _substrate_trace(config, substrate)
         metrics = link_metrics(trace)
         link_rows = [
             {"substrate": substrate, **row} for row in report.link_rows(metrics)
@@ -1396,6 +1406,8 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_stability(args: argparse.Namespace) -> int:
+    from .experiments import phase
+
     try:
         rows = phase.phase_grid(
             versions=args.versions,
@@ -1474,6 +1486,8 @@ def _run_stability(args: argparse.Namespace) -> int:
 
 
 def _run_theorems(args: argparse.Namespace) -> int:
+    from .experiments import figures
+
     rows = figures.theorem_table(flow_counts=args.flows, propagation_delay_s=args.delay)
     if not rows:
         print("no theorem rows produced; check --flows", file=sys.stderr)

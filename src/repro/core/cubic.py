@@ -48,6 +48,13 @@ def cubic_window(
             raise ValueError("w_max must be non-negative")
     elif np.any(np.asarray(w_max) < 0):
         raise ValueError("w_max must be non-negative")
+    return _cubic_growth(s, w_max, c, beta)
+
+
+def _cubic_growth(
+    s: float | np.ndarray, w_max: float | np.ndarray, c: float, beta: float
+) -> float | np.ndarray:
+    """Eq. 41 without :func:`cubic_window`'s ``w_max >= 0`` check."""
     inflection = (w_max * beta / c) ** (1.0 / 3.0)
     return c * (s - inflection) ** 3 + w_max
 
@@ -120,7 +127,11 @@ class CubicFluid(FluidCCA):
         w_max_new = np.maximum(
             MIN_WINDOW_PKTS, w_max + inputs.dt * (w - w_max) * loss_rate
         )
-        w_new = np.maximum(MIN_WINDOW_PKTS, cubic_window(s_new, w_max_new))
+        # ``w_max_new >= MIN_WINDOW_PKTS`` by construction, so the per-step
+        # non-negativity check of ``cubic_window`` is skipped.
+        w_new = np.maximum(
+            MIN_WINDOW_PKTS, _cubic_growth(s_new, w_max_new, CUBIC_C, CUBIC_BETA)
+        )
         rate = w_new / np.maximum(inputs.tau, 1e-9)
         inflight = self.update_inflight_all(batch, inputs, rate)
         active = inputs.active

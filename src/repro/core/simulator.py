@@ -85,6 +85,22 @@ from .network import Network, Path
 from .registry import create_model
 
 
+def _uniform_width(seg_bounds: Sequence[int]) -> int | None:
+    """The common user count of every queued link, or ``None`` if they differ.
+
+    ``seg_bounds`` delimits each link's run of (link, user) pairs.  When all
+    runs have the same non-zero length ``L``, the per-link arrival sums are
+    one row-sum of the pairs reshaped to ``(links, L)``: numpy reduces each
+    contiguous row with the same pairwise summation as a 1-D ``.sum()``, so
+    the result is bit-identical to summing link by link.
+    """
+    widths = {hi - lo for lo, hi in zip(seg_bounds[:-1], seg_bounds[1:], strict=True)}
+    if len(widths) != 1:
+        return None
+    width = widths.pop()
+    return width if width > 0 else None
+
+
 @dataclass
 class _LinkState:
     """Mutable per-link state of the scalar reference integrator."""
@@ -283,6 +299,7 @@ class FluidSimulator:
         user_flows_arr = np.array(user_flows, dtype=np.intp)
         user_lags = rate_history.lag_steps(np.array(user_delays, dtype=float))
         segments = [slice(seg_bounds[k], seg_bounds[k + 1]) for k in range(num_queued)]
+        uniform_width = _uniform_width(seg_bounds)
 
         # Per-flow bottleneck bookkeeping for Eqs. 7 and 17.
         pos_of_link = {idx: pos for pos, idx in enumerate(queued_links)}
@@ -547,8 +564,11 @@ class FluidSimulator:
                 for rows, seg, caps in att_levels:
                     np.minimum(contrib[rows] * att_surv[seg], caps, out=contrib[rows])
                 delayed_rates[att_positions] = contrib
-            for k in range(num_queued):
-                arrival[k] = delayed_rates[segments[k]].sum()
+            if uniform_width is not None:
+                delayed_rates.reshape(num_queued, uniform_width).sum(axis=1, out=arrival)
+            else:
+                for k in range(num_queued):
+                    arrival[k] = delayed_rates[segments[k]].sum()
             if all_droptail:
                 loss = queues.droptail_loss_vec(
                     arrival, link_capacity, queue_arr, link_buffer, sharpness, exponent

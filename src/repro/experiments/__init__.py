@@ -1,6 +1,16 @@
-"""Reproduction harness: canonical scenarios, sweeps, and per-figure regeneration."""
+"""Reproduction harness: canonical scenarios, sweeps, and per-figure regeneration.
 
-from . import backends, executor, figures, presets, report, scenarios, sweep
+Everything here but :mod:`.figures` and :mod:`.phase` imports without numpy;
+``figures`` (which pulls in every substrate) loads on first attribute
+access (PEP 562).
+"""
+
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
+from . import backends, executor, presets, report, scenarios, sweep
 from .executor import ExecutorPolicy
 from .presets import CampaignPreset, load_preset
 from .scenarios import (
@@ -54,3 +64,9 @@ __all__ = [
     "run_sweep",
     "series",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name == "figures":
+        return importlib.import_module(f"{__name__}.figures")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,19 +35,7 @@ from ..core.simulator import simulate
 from ..emulation.runner import emulate
 from ..metrics.aggregate import aggregate_metrics
 from . import scenarios, sweep
-
-#: Metrics of the aggregate figures, in paper order.
-AGGREGATE_FIGURES: dict[str, str] = {
-    "fig06_fairness": "jain_fairness",
-    "fig07_loss": "loss_percent",
-    "fig08_queuing": "buffer_occupancy_percent",
-    "fig09_utilization": "utilization_percent",
-    "fig10_jitter": "jitter_ms",
-}
-
-#: Reduced sweep used by default so the benchmark suite stays tractable;
-#: pass ``buffers_bdp=scenarios.BUFFER_SWEEP_BDP`` for the paper's full grid.
-DEFAULT_SWEEP_BUFFERS: tuple[float, ...] = (1.0, 4.0, 7.0)
+from .scenarios import AGGREGATE_FIGURES, DEFAULT_SWEEP_BUFFERS
 
 
 def _percent(rate: np.ndarray, capacity: float) -> np.ndarray:

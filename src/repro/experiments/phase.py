@@ -33,12 +33,12 @@ from .store import SweepStore
 #: against (mixed-population rows have no single "version" axis).
 MIX_VERSIONS = {"BBRv1": "bbr1", "BBRv2": "bbr2"}
 
-#: Default phase-diagram axes: the paper's two BBR versions over a
-#: buffer x RTT x flow-count grid spanning the shallow-to-deep regimes.
-DEFAULT_VERSIONS = ("bbr1", "bbr2")
-DEFAULT_FLOW_COUNTS = (2, 4, 10)
-DEFAULT_RTTS_MS = (20.0, 35.0, 50.0)
-DEFAULT_BUFFERS_BDP = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+#: Default phase-diagram axes (defined in the numpy-free scenarios module,
+#: where the CLI parser reads them).
+DEFAULT_VERSIONS = scenarios.PHASE_VERSIONS
+DEFAULT_FLOW_COUNTS = scenarios.PHASE_FLOW_COUNTS
+DEFAULT_RTTS_MS = scenarios.PHASE_RTTS_MS
+DEFAULT_BUFFERS_BDP = scenarios.PHASE_BUFFERS_BDP
 
 #: Documented agreement thresholds (absolute, in each metric's own unit —
 #: percentage points) for :func:`agreement`.  The simulation averages

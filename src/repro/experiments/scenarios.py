@@ -56,6 +56,28 @@ DISCIPLINES: tuple[str, ...] = ("droptail", "red")
 #: trace-validation default; the aggregate metrics are insensitive to it).
 SWEEP_DT: float = 2.5e-4
 
+#: Metrics of the aggregate figures, in paper order (re-exported by
+#: :mod:`repro.experiments.figures`).
+AGGREGATE_FIGURES: dict[str, str] = {
+    "fig06_fairness": "jain_fairness",
+    "fig07_loss": "loss_percent",
+    "fig08_queuing": "buffer_occupancy_percent",
+    "fig09_utilization": "utilization_percent",
+    "fig10_jitter": "jitter_ms",
+}
+
+#: Reduced sweep used by default so the benchmark suite stays tractable;
+#: pass ``buffers_bdp=BUFFER_SWEEP_BDP`` for the paper's full grid.
+DEFAULT_SWEEP_BUFFERS: tuple[float, ...] = (1.0, 4.0, 7.0)
+
+#: Default phase-diagram axes: the paper's two BBR versions over a
+#: buffer x RTT x flow-count grid spanning the shallow-to-deep regimes
+#: (re-exported by :mod:`repro.experiments.phase` as its ``DEFAULT_*``).
+PHASE_VERSIONS: tuple[str, ...] = ("bbr1", "bbr2")
+PHASE_FLOW_COUNTS: tuple[int, ...] = (2, 4, 10)
+PHASE_RTTS_MS: tuple[float, ...] = (20.0, 35.0, 50.0)
+PHASE_BUFFERS_BDP: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
 
 def trace_validation_scenario(
     cca: str,

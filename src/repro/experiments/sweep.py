@@ -44,6 +44,7 @@ The grid is embarrassingly parallel and is exploited two ways:
 
 from __future__ import annotations
 
+import importlib
 import math
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
@@ -52,8 +53,6 @@ from collections.abc import Iterable, Sequence
 from typing import Any
 
 from ..config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS, ScenarioConfig
-from ..core.simulator import FluidSimulator, simulate_many
-from ..emulation.runner import EmulationRunner
 from ..metrics.aggregate import (
     AggregateMetrics,
     MetricsSummary,
@@ -81,6 +80,15 @@ BATCH_CHUNK = 64
 #: Default emulator sampling parameters (mirrors ``EmulationRunner``).
 DEFAULT_RECORD_INTERVAL_S = 0.01
 DEFAULT_SCHEDULER = "delayline"
+
+#: The module each substrate's points run on.  This module imports none of
+#: them (nor numpy): a grid served from the store loads no substrate, and a
+#: computed point loads its own on first use.
+_SUBSTRATE_MODULES = {
+    "fluid": "repro.core.simulator",
+    "emulation": "repro.emulation.runner",
+    "analytic": "repro.analysis",
+}
 
 
 class SweepPointError(RuntimeError):
@@ -492,9 +500,9 @@ class PointSpec:
         return meta
 
 
-# Scenario construction and keying go through these two module-level names
-# so profilers that wrap entry points from outside the package (see
-# ``perfbench/layers.py``) can attribute them to their layers.
+# Scenario construction, keying and lockstep integration go through these
+# module-level names so profilers that wrap entry points from outside the
+# package (see ``perfbench/layers.py``) can attribute them to their layers.
 def _point_config(spec: PointSpec) -> ScenarioConfig:
     """Build one point's scenario (:meth:`PointSpec.config`)."""
     return spec.config()
@@ -503,6 +511,13 @@ def _point_config(spec: PointSpec) -> ScenarioConfig:
 def _cache_key(spec: PointSpec) -> str:
     """One point's cache and store key (:meth:`PointSpec.key`)."""
     return spec.key()
+
+
+def simulate_many(configs: Sequence[ScenarioConfig]) -> list:
+    """Lockstep integration of a fluid chunk (:func:`repro.core.simulator.simulate_many`)."""
+    from ..core.simulator import simulate_many as integrate
+
+    return integrate(configs)
 
 
 @dataclass(frozen=True)
@@ -649,10 +664,14 @@ def _compute(spec: PointSpec) -> SweepPoint:
             counters = {"flows": config.num_flows}
         else:
             if spec.substrate == "fluid":
+                from ..core.simulator import FluidSimulator
+
                 sim = FluidSimulator(config)
                 trace = sim.run()
                 counters = dict(sim.runtime)
             else:
+                from ..emulation.runner import EmulationRunner
+
                 runner = EmulationRunner(
                     config, record_interval_s=spec.record_interval_s, scheduler=spec.scheduler
                 )
@@ -911,6 +930,11 @@ def _run_grid(
         exec_failures.extend(report.failures)
 
     if pending and policy.pooled:
+        # Load the substrate and the trace metrics before the pool forks, so
+        # every worker inherits them instead of importing them itself.
+        importlib.import_module(_SUBSTRATE_MODULES[substrate])
+        for name in ("churn", "fairness", "traces"):
+            importlib.import_module(f"repro.metrics.{name}")
         execute(pending)
     elif pending and substrate == "fluid":
         # Batched path: stack the chunk into one lockstep integration (the

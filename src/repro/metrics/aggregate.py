@@ -15,6 +15,12 @@ are evaluated by exactly the same code.
   exactly as the paper does — the RTT series is sampled at the virtual
   packet rate ``g * N / C`` and the mean absolute difference of consecutive
   samples is reported.
+
+Importing this module loads no numpy: the metric containers and the
+single-replica summary are plain Python, so the store and the sweep planner
+can read and summarise persisted rows without it.  The functions that
+compute from a :class:`~repro.metrics.traces.Trace` import numpy and the
+trace helpers when first called.
 """
 
 from __future__ import annotations
@@ -22,12 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .churn import active_jain_fairness, fct_percentile_s, mean_active_flows
-from .fairness import trace_fairness
-from .traces import Trace, resample
+if TYPE_CHECKING:
+    from .traces import Trace
 
 
 def loss_percent(trace: Trace) -> float:
@@ -55,6 +59,10 @@ def jitter_ms(trace: Trace, packet_size_factor: float = 1.0) -> float:
     """
     if packet_size_factor <= 0:
         raise ValueError("packet_size_factor must be positive")
+    import numpy as np
+
+    from .traces import resample
+
     bottleneck = trace.bottleneck()
     interval = packet_size_factor * trace.num_flows / bottleneck.capacity_pps
     if trace.duration <= 2 * interval:
@@ -140,6 +148,9 @@ def aggregate_metrics(trace: Trace) -> AggregateMetrics:
     within the trace; the active-set fields are always well defined (for
     long-lived flows they degenerate to the whole-population values).
     """
+    from .churn import active_jain_fairness, fct_percentile_s, mean_active_flows
+    from .fairness import trace_fairness
+
     return AggregateMetrics(
         jain_fairness=trace_fairness(trace),
         loss_percent=loss_percent(trace),
@@ -185,6 +196,8 @@ class LinkMetrics:
 
 def link_metrics(trace: Trace) -> list[LinkMetrics]:
     """Per-link aggregate metrics, one entry per queued link of the trace."""
+    import numpy as np
+
     out = []
     for link in trace.links:
         mean_queue = float(np.mean(link.queue)) if len(link.queue) else 0.0
@@ -245,20 +258,28 @@ class MetricsSummary:
 
 
 def summarize_metrics(replicas: Sequence[AggregateMetrics]) -> MetricsSummary:
-    """Aggregate per-seed :class:`AggregateMetrics` into a :class:`MetricsSummary`."""
+    """Aggregate per-seed :class:`AggregateMetrics` into a :class:`MetricsSummary`.
+
+    A single replica is its own mean, so that case is summarised without
+    loading numpy; adding ``0.0`` reproduces ``np.mean`` bit for bit (its
+    sum starts from ``+0.0``, which turns ``-0.0`` into ``0.0``).
+    """
     if not replicas:
         raise ValueError("at least one metrics replica is required")
     n = len(replicas)
     names = list(replicas[0].as_dict())
-    values = {name: np.array([r.as_dict()[name] for r in replicas]) for name in names}
-    means = {name: float(np.mean(values[name])) for name in names}
-    if n > 1:
+    if n == 1:
+        means = {name: float(value) + 0.0 for name, value in replicas[0].as_dict().items()}
+        stds = {name: 0.0 for name in names}
+        cis = {name: 0.0 for name in names}
+    else:
+        import numpy as np
+
+        values = {name: np.array([r.as_dict()[name] for r in replicas]) for name in names}
+        means = {name: float(np.mean(values[name])) for name in names}
         stds = {name: float(np.std(values[name], ddof=1)) for name in names}
         half = _t95(n - 1) / math.sqrt(n)
         cis = {name: half * stds[name] for name in names}
-    else:
-        stds = {name: 0.0 for name in names}
-        cis = {name: 0.0 for name in names}
     return MetricsSummary(
         mean=AggregateMetrics(**means),
         std=AggregateMetrics(**stds),

@@ -14,6 +14,8 @@ import pytest
 
 from repro.config import FlowConfig, FluidParams, ScenarioConfig, dumbbell_scenario
 from repro.core import FluidSimulator, RenoFluid, simulate, simulate_many
+from repro.core import simulator as simulator_module
+from repro.experiments import scenarios
 
 FAST = FluidParams(dt=2.5e-4)
 
@@ -143,3 +145,83 @@ class TestSimulateMany:
         b = dumbbell_scenario(["reno"], duration_s=1.0, fluid=FAST)
         with pytest.raises(ValueError):
             simulate_many([a, b])
+
+
+def assert_traces_identical(a, b):
+    """Every recorded series equal bit for bit (NaN matching NaN)."""
+    assert np.array_equal(a.time, b.time)
+    for fa, fb in zip(a.flows, b.flows, strict=True):
+        for name in FLOW_SERIES:
+            assert np.array_equal(getattr(fa, name), getattr(fb, name), equal_nan=True), name
+        for key in fa.extras:
+            assert np.array_equal(fa.extras[key], fb.extras[key], equal_nan=True), key
+    for la, lb in zip(a.links, b.links, strict=True):
+        for name in LINK_SERIES:
+            assert np.array_equal(getattr(la, name), getattr(lb, name), equal_nan=True), name
+
+
+class TestUniformArrivalRowSum:
+    """Per-link arrivals as one row-sum when every link has L users.
+
+    The row-sum must equal the per-link ``.sum()`` loop it replaces bit for
+    bit, not merely to a tolerance: stored campaign rows are compared
+    against references computed with the loop.
+    """
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 10, 16, 17, 64, 129])
+    def test_row_sum_equals_per_link_sum(self, width):
+        rng = np.random.default_rng(width)
+        num_links = 28
+        rates = rng.lognormal(8.0, 2.0, size=num_links * width)
+        bounds = list(range(0, num_links * width + 1, width))
+        assert simulator_module._uniform_width(bounds) == width
+        row_sum = np.zeros(num_links)
+        rates.reshape(num_links, width).sum(axis=1, out=row_sum)
+        per_link = np.array(
+            [rates[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)]
+        )
+        assert np.array_equal(row_sum, per_link)
+
+    def test_ragged_or_empty_links_have_no_width(self):
+        assert simulator_module._uniform_width([0, 5, 9, 13]) is None
+        assert simulator_module._uniform_width([0, 0, 0]) is None
+        assert simulator_module._uniform_width([0]) is None
+
+    @staticmethod
+    def _run(monkeypatch, configs, force_loop):
+        widths = []
+        real = simulator_module._uniform_width
+
+        def spy(seg_bounds):
+            widths.append(None if force_loop else real(seg_bounds))
+            return widths[-1]
+
+        monkeypatch.setattr(simulator_module, "_uniform_width", spy)
+        return simulate_many(configs) if len(configs) > 1 else [simulate(configs[0])], widths
+
+    def test_fluid_sweep_grid_is_bit_identical(self, monkeypatch):
+        # The 28-scenario lockstep batch of the paper's Figs. 6-10 grid.
+        configs = [
+            scenarios.aggregate_scenario(
+                mix, buffer_bdp=buffer_bdp, discipline=discipline, duration_s=0.3
+            )
+            for discipline in scenarios.DISCIPLINES
+            for mix in scenarios.CCA_MIXES
+            for buffer_bdp in (1.0, 4.0)
+        ]
+        row_sum, widths = self._run(monkeypatch, configs, force_loop=False)
+        assert widths == [10]  # one combined network, ten users per link
+        loop, _ = self._run(monkeypatch, configs, force_loop=True)
+        for a, b in zip(row_sum, loop, strict=True):
+            assert_traces_identical(a, b)
+
+    def test_ragged_multi_hop_takes_the_loop(self, monkeypatch):
+        # A multi-dumbbell with 5/4/4 users on its three bottlenecks.
+        config = scenarios.topology_scenario(
+            "multi-dumbbell", mix="BBRv1/CUBIC", hops=3, cross_flows=1,
+            buffer_bdp=2.0, duration_s=0.3,
+        )
+        [ragged], widths = self._run(monkeypatch, [config], force_loop=False)
+        assert widths == [None]
+        [loop], _ = self._run(monkeypatch, [config], force_loop=True)
+        assert_traces_identical(ragged, loop)

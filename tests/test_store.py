@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.core import simulator as fluid_simulator
+from repro.emulation import runner as emulation_runner
 from repro.experiments import scenarios, sweep
 from repro.experiments.store import (
     SCHEMA_VERSION,
@@ -210,7 +212,9 @@ class TestRunPointStore:
         sweep.clear_cache()
         # Any recomputation would construct a simulator; forbid it outright.
         monkeypatch.setattr(
-            sweep, "FluidSimulator", lambda *a, **k: pytest.fail("point was recomputed")
+            fluid_simulator,
+            "FluidSimulator",
+            lambda *a, **k: pytest.fail("point was recomputed"),
         )
         warm = sweep.run_point(
             "BBRv1", 1.0, "droptail", store=SweepStore(store.path), **FAST
@@ -243,7 +247,7 @@ class TestRunSweepStore:
         cold = sweep.run_sweep(store=store, **self.GRID)
         sweep.clear_cache()
         monkeypatch.setattr(
-            sweep,
+            emulation_runner,
             "EmulationRunner",
             lambda *a, **k: pytest.fail("point was recomputed"),
         )
@@ -254,7 +258,7 @@ class TestRunSweepStore:
 
     def test_interrupted_sweep_resumes_from_store(self, tmp_path, monkeypatch):
         store_path = tmp_path / "s.jsonl"
-        real_runner = sweep.EmulationRunner
+        real_runner = emulation_runner.EmulationRunner
         calls: list[float] = []
 
         def failing_runner(config, **kwargs):
@@ -263,7 +267,7 @@ class TestRunSweepStore:
                 raise RuntimeError("simulated crash")
             return real_runner(config, **kwargs)
 
-        monkeypatch.setattr(sweep, "EmulationRunner", failing_runner)
+        monkeypatch.setattr(emulation_runner, "EmulationRunner", failing_runner)
         with pytest.raises(sweep.SweepPointError) as excinfo:
             sweep.run_sweep(store=SweepStore(store_path), **self.GRID)
         # The wrapped error names the failing grid point...
@@ -274,11 +278,11 @@ class TestRunSweepStore:
 
         sweep.clear_cache()
         calls.clear()
-        monkeypatch.setattr(sweep, "EmulationRunner", real_runner, raising=True)
+        monkeypatch.setattr(emulation_runner, "EmulationRunner", real_runner, raising=True)
         count_runner = lambda config, **kwargs: calls.append(
             config.bottleneck.buffer_bdp
         ) or real_runner(config, **kwargs)
-        monkeypatch.setattr(sweep, "EmulationRunner", count_runner)
+        monkeypatch.setattr(emulation_runner, "EmulationRunner", count_runner)
         points = sweep.run_sweep(store=SweepStore(store_path), **self.GRID)
         # Resume recomputes only the point that failed.
         assert calls == [2.0]
